@@ -143,17 +143,21 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
     se = lp.check_single_entry(chain, lumping)
     sfs = {k: lp.check_sfs(chain, lumping, k).holds
            for k in config.k_range if k >= 2}
-    strong = {k: lp.check_strong_lumpable(
-                  chain, lumping, k, config.tol,
-                  config.max_horizon, config.max_blocks).strong
-              for k in config.k_range}
-    weak = {k: lp.check_weak_lumpable(
-                chain, lumping, k, max(config.weak_horizon, k), config.tol,
-                config.max_horizon, config.max_blocks).weak_up_to_horizon
-            for k in config.k_range}
-    bounds = tuple(ent.lumped_rate_bounds(chain, lumping, n,
-                                          config.max_horizon, config.max_blocks)
-                   for n in config.horizons)
+    # one upper and one lower pass, as deep as the checks below need, serve them all
+    lower = max((*config.horizons, *config.k_range), default=0)
+    upper = max(lower, config.weak_horizon) if config.k_range else lower
+    with ent.lattice(chain, lumping, upper, lower, config.max_horizon, config.max_blocks):
+        strong = {k: lp.check_strong_lumpable(
+                      chain, lumping, k, config.tol,
+                      config.max_horizon, config.max_blocks).strong
+                  for k in config.k_range}
+        weak = {k: lp.check_weak_lumpable(
+                    chain, lumping, k, max(config.weak_horizon, k), config.tol,
+                    config.max_horizon, config.max_blocks).weak_up_to_horizon
+                for k in config.k_range}
+        bounds = tuple(ent.lumped_rate_bounds(chain, lumping, n,
+                                              config.max_horizon, config.max_blocks)
+                       for n in config.horizons)
     blackwell = None
     if config.blackwell_steps is not None and config.blackwell_seed is not None:
         blackwell = ent.blackwell_entropy_estimate(
@@ -470,8 +474,10 @@ def _cmd(args) -> None:
                                 "prob_a": res.witness.prob_a,
                                 "prob_b": res.witness.prob_b}})
     elif args.command == "bounds":
-        b = ent.lumped_rate_bounds(chain, lumping, args.n)
-        loss = ent.conditional_entropy_rate_estimate(chain, lumping, args.n)
+        with ent.lattice(chain, lumping, args.n, args.n,
+                         ent.DEFAULT_MAX_HORIZON, ent.DEFAULT_MAX_BLOCKS):
+            b = ent.lumped_rate_bounds(chain, lumping, args.n)
+            loss = ent.conditional_entropy_rate_estimate(chain, lumping, args.n)
         human = (f"lumped rate bounds n={args.n}: [{b.lower:.6f}, {b.upper:.6f}] "
                  f"bits/step; loss in [{loss.loss_lower:.6f}, {loss.loss_upper:.6f}]\n")
         _emit(args, human, {"horizon": b.horizon, "lower": b.lower, "upper": b.upper,

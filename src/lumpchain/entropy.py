@@ -1,21 +1,24 @@
 """Entropy functionals for stationary chains and their lumped images.
 
 All values are in bits (binary logarithm) with the convention 0*log2(0) = 0.
-Quantities over lumped words are exact: a forward pass propagates, for every
-block word of positive probability, the joint mass vector over the hidden
-state, so no sampling is involved. Conditional distributions are only formed
-where the conditioning event has mass above ``MASS_EPS``; lighter events are
-dropped, matching the zero-times-log-zero convention.
+Quantities over lumped words are exact: :func:`lumped_forward` pushes the
+joint mass of block words and hidden state through the transition matrix,
+and every block-word quantity reads its tables via a :class:`BlockWordLattice`.
+Mass rule: a word of joint mass at most ``MASS_EPS``, counting its start
+state's stationary weight, is dropped with all its extensions.
 
-The forward pass enumerates block words, so its cost is bounded by
-|blocks|^horizon times the squared state count. The default budget admits
-horizons up to 12 on chains with at most 4 blocks; both caps can be raised
-explicitly by callers who accept the cost.
+Cost: the upper pass to horizon h costs |blocks|^h * n^2 for n states; the
+lower pass is n calls, one per start state, at depth h-1, each keeping only
+the (words x blocks) next-block joints of its levels. The default budget
+admits horizons up to 12 on chains with at most 4 blocks; both caps can be
+raised explicitly by callers who accept the cost.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -90,13 +93,7 @@ def conditional_entropy(joint) -> float:
         raise NotADistribution("negative probability entry")
     if abs(J.sum() - 1.0) > DIST_SUM_TOL:
         raise NotADistribution(f"joint sums to {J.sum()!r}")
-    total = 0.0
-    for row in J:
-        m = row.sum()
-        if m <= MASS_EPS:
-            continue
-        total += m * _plogp(row / m)
-    return total
+    return _conditional_entropy(J[J.sum(axis=1) > MASS_EPS])
 
 
 def chain_entropy_rate(chain: MarkovChain) -> float:
@@ -113,55 +110,114 @@ def block_entropy(chain: MarkovChain, n: int) -> float:
     return _plogp(np.asarray(chain.stationary)) + (n - 1) * chain_entropy_rate(chain)
 
 
-def _check_budget(lumping: "Lumping", horizon: int,
-                  max_horizon: int, max_blocks: int) -> None:
-    if horizon > max_horizon:
-        raise HorizonTooLarge(f"horizon {horizon} exceeds cap {max_horizon}")
-    if lumping.n_blocks > max_blocks:
-        raise HorizonTooLarge(
-            f"{lumping.n_blocks} blocks exceed cap {max_blocks} for path enumeration")
+@dataclass(frozen=True, eq=False)
+class WordTable:
+    """Live block words of one length in lexicographic order: ids in base
+    |blocks|, first symbol most significant; the joint mass of each word with
+    the hidden state at its last instant, and with the following block.
+    ``levels[m]`` holds the ids and next-block joint of the live m-words for
+    every m up to this length, taken from the same pass."""
+
+    ids: np.ndarray
+    mass: np.ndarray
+    next_mass: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
-                   n_symbols: int, first_is_current: bool) -> dict[tuple[int, ...], np.ndarray]:
-    """Joint mass vectors over the hidden state for every positive block word.
+                   n_symbols: int, first_is_current: bool) -> WordTable:
+    """Joint mass over the hidden state of every live length-``n_symbols`` word.
 
-    Starting from ``rho`` as the state distribution at time 0, returns a dict
-    mapping a length-``n_symbols`` block-index word to the vector whose x-th
-    entry is the joint probability of the word and the hidden state x at the
-    word's last instant. With ``first_is_current`` the word starts with the
-    block of the time-0 state; otherwise every symbol costs one transition.
+    ``rho`` is the state mass at time 0. With ``first_is_current`` the word
+    starts with the block of the time-0 state; otherwise every symbol costs
+    one transition. Words are dropped by the mass rule as they are built.
     """
+    nb = lumping.n_blocks
+    if nb ** (n_symbols + 1) > np.iinfo(np.int64).max:
+        raise HorizonTooLarge(f"{nb}^{n_symbols + 1} block words overflow 64-bit word ids")
     P = chain.transition
-    members = lumping.member_indices
-    if first_is_current:
-        dists = {(b,): _mask(rho, members[b]) for b in range(lumping.n_blocks)}
-        dists = {w: v for w, v in dists.items() if v.sum() > 0}
-        remaining = n_symbols - 1
-    else:
-        dists = {(): rho}
-        remaining = n_symbols
-    for _ in range(remaining):
-        nxt_dists: dict[tuple[int, ...], np.ndarray] = {}
-        for word, vec in dists.items():
-            pushed = vec @ P
-            for b in range(lumping.n_blocks):
-                v = _mask(pushed, members[b])
-                if v.sum() > 0:
-                    nxt_dists[word + (b,)] = v
-        dists = nxt_dists
-    return dists
+    B = lumping.indicator
+    mass = np.asarray(rho, dtype=float)[None, :]
+    live = mass.sum(axis=1) > MASS_EPS  # the empty word obeys the mass rule too
+    ids, mass = np.zeros(1, dtype=np.int64)[live], mass[live]
+    pushed = mass if first_is_current else mass @ P
+    levels = [(ids, pushed @ B)]
+    for _ in range(n_symbols):
+        words, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
+        ids, mass = ids[words] * nb + blocks, pushed[words]
+        mass[lumping.of_state != blocks[:, None]] = 0.0
+        pushed = mass @ P
+        levels.append((ids, pushed @ B))
+    return WordTable(ids=ids, mass=mass, next_mass=levels[-1][1], levels=tuple(levels))
 
 
-def _mask(vec: np.ndarray, member_idx: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(vec)
-    out[member_idx] = vec[member_idx]
-    return out
+def _conditional_entropy(joint: np.ndarray) -> float:
+    """H(column | row) of a joint whose rows all have positive mass."""
+    cond = joint / joint.sum(axis=1, keepdims=True)
+    np.log2(cond, out=cond, where=cond > 0)
+    return float(-np.vdot(joint, cond))
 
 
-def _next_block_mass(vec: np.ndarray, chain: MarkovChain, lumping: "Lumping") -> np.ndarray:
-    pushed = vec @ chain.transition
-    return np.array([pushed[idx].sum() for idx in lumping.member_indices])
+class BlockWordLattice:
+    """Joint laws of block words at every horizon up to two depths.
+
+    The upper tables come from one pass from the stationary law to
+    ``upper_horizon`` blocks, the lower tables from one pass per start state
+    x, from mass mu(x), to ``lower_horizon`` - 1 blocks after x (0: none).
+    Every pass keeps each level it builds, so a horizon reads the same
+    numbers whatever depth the lattice was built to.
+    """
+
+    def __init__(self, chain: MarkovChain, lumping: "Lumping",
+                 upper_horizon: int, lower_horizon: int):
+        self.chain, self.lumping = chain, lumping
+        self.upper_horizon, self.lower_horizon = upper_horizon, lower_horizon
+        self._upper = lumped_forward(chain, lumping, chain.stationary, upper_horizon, True).levels
+        self._lower = []
+        if lower_horizon:
+            mu, eye = chain.stationary, np.eye(chain.n)
+            self._lower = [lumped_forward(chain, lumping, mu[x] * eye[x],
+                                          lower_horizon - 1, False).levels
+                           for x in range(chain.n)]
+
+    def upper(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the live h-words and their joint with the next block."""
+        return self._upper[h]
+
+    def lower(self, h: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per start state, ids of the live (h-1)-words after it and their
+        joint with the start state and the next block."""
+        return [levels[h - 1] for levels in self._lower]
+
+
+_SCOPE: ContextVar[BlockWordLattice | None] = ContextVar("lattice_scope", default=None)
+
+
+@contextmanager
+def lattice(chain: MarkovChain, lumping: "Lumping", upper_horizon: int, lower_horizon: int,
+            max_horizon: int, max_blocks: int):
+    """Yield the lattice of the enclosing ``lattice`` block if it covers this
+    chain, lumping and both horizons, else a new one that calls made inside
+    this block share. The horizon and block count must pass the budget.
+    Sharing only saves passes: a lattice reads the same at every horizon it
+    covers, however deep it was built."""
+    if upper_horizon > max_horizon:
+        raise HorizonTooLarge(f"horizon {upper_horizon} exceeds cap {max_horizon}")
+    if lumping.n_blocks > max_blocks:
+        raise HorizonTooLarge(
+            f"{lumping.n_blocks} blocks exceed cap {max_blocks} for path enumeration")
+    lat = _SCOPE.get()
+    if (lat is None or lat.chain is not chain or lat.lumping is not lumping
+            or lat.upper_horizon < upper_horizon or lat.lower_horizon < lower_horizon):
+        lat = BlockWordLattice(chain, lumping, upper_horizon, lower_horizon)
+    token = _SCOPE.set(lat)
+    try:
+        yield lat
+    finally:
+        _SCOPE.reset(token)
 
 
 def lumped_block_entropy(chain: MarkovChain, lumping: "Lumping", n: int,
@@ -170,10 +226,8 @@ def lumped_block_entropy(chain: MarkovChain, lumping: "Lumping", n: int,
     """Entropy of a stationary length-n block word, by exact forward pass."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_budget(lumping, n, max_horizon, max_blocks)
-    dists = lumped_forward(chain, lumping, chain.stationary, n, first_is_current=True)
-    masses = np.array([v.sum() for v in dists.values()])
-    return _plogp(masses)
+    with lattice(chain, lumping, n, 0, max_horizon, max_blocks) as lat:
+        return _plogp(lat.upper(n)[1].sum(axis=1))
 
 
 def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int,
@@ -187,28 +241,10 @@ def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_budget(lumping, n, max_horizon, max_blocks)
-    mu = chain.stationary
-
-    upper = 0.0
-    for vec in lumped_forward(chain, lumping, mu, n, first_is_current=True).values():
-        m = vec.sum()
-        if m <= MASS_EPS:
-            continue
-        upper += m * _plogp(_next_block_mass(vec, chain, lumping) / m)
-
-    lower = 0.0
-    eye = np.eye(chain.n)
-    for x0 in range(chain.n):
-        if mu[x0] <= MASS_EPS:
-            continue
-        for vec in lumped_forward(chain, lumping, eye[x0], n - 1,
-                                  first_is_current=False).values():
-            m = vec.sum()
-            if m <= MASS_EPS:
-                continue
-            lower += mu[x0] * m * _plogp(_next_block_mass(vec, chain, lumping) / m)
-    return EntropyBounds(horizon=n, lower=float(lower), upper=float(upper))
+    with lattice(chain, lumping, n, n, max_horizon, max_blocks) as lat:
+        return EntropyBounds(
+            horizon=n, lower=sum(_conditional_entropy(j) for _, j in lat.lower(n)),
+            upper=_conditional_entropy(lat.upper(n)[1]))
 
 
 def conditional_entropy_rate_estimate(chain: MarkovChain, lumping: "Lumping", n: int,
@@ -249,17 +285,14 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
         raise ValueError("need steps > burn_in >= 0")
     rng = np.random.default_rng(seed)
     P = chain.transition
-    members = lumping.member_indices
-    masks = [np.zeros(chain.n, dtype=bool) for _ in range(lumping.n_blocks)]
-    for b, idx in enumerate(members):
-        masks[b][idx] = True
+    B = lumping.indicator
 
     w = np.array(chain.stationary, dtype=float)
     uniforms = rng.random(steps)
     vals = np.empty(steps - burn_in)
     for t in range(steps):
         pred = w @ P
-        r = np.array([pred[m].sum() for m in masks])
+        r = pred @ B
         if t >= burn_in:
             vals[t - burn_in] = _plogp(r)
         cum = np.cumsum(r)
@@ -267,7 +300,7 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
         y = min(y, lumping.n_blocks - 1)
         if r[y] < 1e-300:
             raise ZeroMassUpdate(f"drawn block {lumping.blocks[y]!r} has underflowed mass")
-        w = np.where(masks[y], pred, 0.0) / r[y]
+        w = pred * B[:, y] / r[y]
 
     estimate = float(vals.mean())
     usable = (len(vals) // batches) * batches

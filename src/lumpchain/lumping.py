@@ -21,14 +21,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .chain import MarkovChain
-from .entropy import (
+from .entropy import (  # noqa: F401  (lumped_forward stays importable from here)
     DEFAULT_MAX_BLOCKS,
     DEFAULT_MAX_HORIZON,
-    MASS_EPS,
-    _check_budget,
-    _next_block_mass,
+    _conditional_entropy,
     _plogp,
     block_entropy,
+    lattice,
     lumped_block_entropy,
     lumped_forward,
     lumped_rate_bounds,
@@ -55,7 +54,7 @@ class Lumping:
     construction is deterministic. Instances are immutable.
     """
 
-    __slots__ = ("states", "blocks", "of_state", "member_indices", "_block_index")
+    __slots__ = ("states", "blocks", "of_state", "member_indices", "indicator", "_block_index")
 
     def __init__(self, states: Sequence[str], blocks: Sequence[str], of_state: np.ndarray):
         self.states = tuple(states)
@@ -64,6 +63,8 @@ class Lumping:
         of_state.setflags(write=False)
         self.member_indices = tuple(np.flatnonzero(of_state == b)
                                     for b in range(len(self.blocks)))
+        self.indicator = (of_state[:, None] == np.arange(len(self.blocks))).astype(float)
+        self.indicator.setflags(write=False)
         self._block_index = {b: i for i, b in enumerate(self.blocks)}
 
     @property
@@ -503,6 +504,14 @@ def check_sfs(chain: MarkovChain, lumping: Lumping, k: int,
 # higher-order lumpability
 
 
+def _group_rows(keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the sum of the rows sharing each."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    out = np.zeros((len(uniq), rows.shape[1]))
+    np.add.at(out, inv, rows)
+    return uniq, out
+
+
 def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
                           tol: float = DEFAULT_PROB_TOL,
                           max_horizon: int = DEFAULT_MAX_HORIZON,
@@ -511,53 +520,35 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
 
     For every start state, block word of length k-1 and next block, all with
     positive joint mass, the next-block conditional given the exact start
-    state must equal the conditional given only the start block. The verdict
-    also reports the horizon-k rate bounds, which coincide exactly when the
-    check passes.
+    state must equal the conditional given only the start block. The witness
+    is the first violation by (word, start block, start state, next block).
+    The verdict also reports the horizon-k rate bounds, which coincide
+    exactly when the check passes.
     """
     if k < 1:
         raise KTooSmall("strong lumpability order must be >= 1")
-    _check_budget(lumping, k, max_horizon, max_blocks)
-    mu = chain.stationary
-    eye = np.eye(chain.n)
     nb = lumping.n_blocks
-
-    per_state = [lumped_forward(chain, lumping, eye[x], k - 1, first_is_current=False)
-                 for x in range(chain.n)]
-    words = sorted(set().union(*[d.keys() for d in per_state]))
+    with lattice(chain, lumping, k, k, max_horizon, max_blocks) as lat:
+        per_start = lat.lower(k)
+        bounds = lumped_rate_bounds(chain, lumping, k, max_horizon, max_blocks)
+    start = np.repeat(np.arange(chain.n), [len(ids) for ids, _ in per_start])
+    word, joint = (np.concatenate(parts) for parts in zip(*per_start))
+    key = word * nb + lumping.of_state[start]  # (word, start block)
+    groups, block_joint = _group_rows(key, joint)
+    block_cond = (block_joint / block_joint.sum(axis=1, keepdims=True))[
+        np.searchsorted(groups, key)]
+    cond = joint / joint.sum(axis=1, keepdims=True)
+    bad_row, bad_y = np.nonzero((cond > 0.0) & (np.abs(cond - block_cond) > tol))
     witness = None
-    for w in words:
-        for b, members in enumerate(lumping.member_indices):
-            num = np.zeros(nb)
-            den = 0.0
-            for x in members:
-                vec = per_state[x].get(w)
-                if vec is None:
-                    continue
-                den += mu[x] * vec.sum()
-                num += mu[x] * _next_block_mass(vec, chain, lumping)
-            if den <= MASS_EPS:
-                continue
-            block_cond = num / den
-            for x in members:
-                vec = per_state[x].get(w)
-                if vec is None:
-                    continue
-                m = vec.sum()
-                if mu[x] * m <= MASS_EPS:
-                    continue
-                cond = _next_block_mass(vec, chain, lumping) / m
-                for y in range(nb):
-                    if cond[y] <= 0.0:
-                        continue
-                    if abs(cond[y] - block_cond[y]) > tol and witness is None:
-                        witness = LumpabilityCounterexample(
-                            conditioning=(chain.states[x],)
-                            + tuple(lumping.blocks[i] for i in w),
-                            symbol=lumping.blocks[y],
-                            prob_a=float(cond[y]),
-                            prob_b=float(block_cond[y]))
-    bounds = lumped_rate_bounds(chain, lumping, k, max_horizon, max_blocks)
+    if bad_row.size:
+        first = np.lexsort((bad_y, start[bad_row], key[bad_row]))[0]
+        r, y = bad_row[first], bad_y[first]
+        witness = LumpabilityCounterexample(
+            conditioning=(chain.states[start[r]],) + tuple(
+                lumping.blocks[b] for b in np.unravel_index(word[r], (nb,) * (k - 1))),
+            symbol=lumping.blocks[y],
+            prob_a=float(cond[r, y]),
+            prob_b=float(block_cond[r, y]))
     return LumpabilityVerdict(order_k=k,
                               strong=witness is None,
                               witness=witness,
@@ -573,6 +564,7 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
     all conditioning lengths up to ``horizon``.
 
     The verdict is horizon-qualified; nothing is claimed beyond it. The
+    witness is the first violation by (length, word, next block). The
     returned conditional entropies H(next block | previous m blocks) for
     m = 1..horizon flatten from m = k onward exactly when the process is
     order-k Markov up to the horizon.
@@ -581,63 +573,33 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
         raise KTooSmall("weak lumpability order must be >= 1")
     if horizon < k:
         raise ValueError("horizon must be >= k")
-    _check_budget(lumping, horizon, max_horizon, max_blocks)
     nb = lumping.n_blocks
-
-    dists = lumped_forward(chain, lumping, chain.stationary, k, first_is_current=True)
-    cond_k: dict[tuple[int, ...], np.ndarray] = {}
-    for w, vec in dists.items():
-        m = vec.sum()
-        if m > MASS_EPS:
-            cond_k[w] = _next_block_mass(vec, chain, lumping) / m
-
-    entropies: list[float] = []
+    with lattice(chain, lumping, horizon, 0, max_horizon, max_blocks) as lat:
+        tables = [lat.upper(length) for length in range(1, horizon + 1)]
+    ref_ids, ref = tables[k - 1]
+    ref = ref / ref.sum(axis=1, keepdims=True)
     witness = None
-    length = k
-    while True:
-        step_entropy = 0.0
-        for w, vec in dists.items():
-            m = vec.sum()
-            if m <= MASS_EPS:
-                continue
-            cond = _next_block_mass(vec, chain, lumping) / m
-            step_entropy += m * _plogp(cond)
-            if length > k and witness is None:
-                ref = cond_k.get(w[-k:])
-                if ref is None:
-                    continue
-                for y in range(nb):
-                    if abs(cond[y] - ref[y]) > tol:
-                        witness = LumpabilityCounterexample(
-                            conditioning=tuple(lumping.blocks[i] for i in w),
-                            symbol=lumping.blocks[y],
-                            prob_a=float(cond[y]),
-                            prob_b=float(ref[y]))
-                        break
-        entropies.append(float(step_entropy))
-        if length == horizon:
+    for length, (ids, joint) in enumerate(tables[k:], start=k + 1):
+        cond = joint / joint.sum(axis=1, keepdims=True)
+        suffix = ids % nb ** k
+        at = np.searchsorted(ref_ids, suffix).clip(max=len(ref_ids) - 1)
+        short = ref[at]
+        # a suffix is at least as heavy as its word; skip one dropped by rounding
+        bad = (np.abs(cond - short) > tol) & (ref_ids[at] == suffix)[:, None]
+        if bad.any():
+            r, y = divmod(int(np.argmax(bad)), nb)  # first in (word, symbol) order
+            witness = LumpabilityCounterexample(
+                conditioning=tuple(lumping.blocks[b]
+                                   for b in np.unravel_index(ids[r], (nb,) * length)),
+                symbol=lumping.blocks[y],
+                prob_a=float(cond[r, y]),
+                prob_b=float(short[r, y]))
             break
-        nxt: dict[tuple[int, ...], np.ndarray] = {}
-        P = chain.transition
-        for w, vec in dists.items():
-            pushed = vec @ P
-            for b in range(nb):
-                v = np.zeros_like(pushed)
-                idx = lumping.member_indices[b]
-                v[idx] = pushed[idx]
-                if v.sum() > 0:
-                    nxt[w + (b,)] = v
-        dists = nxt
-        length += 1
-
-    # entropies[i] = H(Y_{k+i} | previous k+i blocks); prepend shorter horizons
-    head = [lumped_rate_bounds(chain, lumping, m, max_horizon, max_blocks).upper
-            for m in range(1, k)]
     return LumpabilityVerdict(
         order_k=k,
         weak_up_to_horizon=WeakHorizonVerdict(verdict=witness is None, horizon=horizon),
         witness=witness,
-        conditional_entropies=tuple(head + entropies))
+        conditional_entropies=tuple(_conditional_entropy(j) for _, j in tables))
 
 
 # ---------------------------------------------------------------------------

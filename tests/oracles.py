@@ -6,6 +6,7 @@ library's dynamic programmes, so agreement between the two is evidence, not
 tautology.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -204,3 +205,64 @@ def random_sparse_chain(rng, n_states, n_blocks, extra_edges=2):
     blocks = [i % n_blocks for i in range(n_states)]
     rng.shuffle(blocks)
     return matrix, [int(b) for b in blocks]
+
+
+def first_strong_violation(matrix, mu, blocks, k, tol=1e-9):
+    """First start state whose next-block law departs from its start block's.
+
+    Conditions on the exact start state x and the k-1 following blocks w and
+    compares P(next | x, w) with P(next | block of x, w), visiting words in
+    lexicographic order, then start blocks, then start states in state order,
+    then next blocks; next blocks of zero probability given x are skipped, as
+    are conditioning events of joint mass at most 1e-15. Returns
+    (x, w, next block, P(next | x, w), P(next | block, w)) or None.
+    """
+    n_blocks = max(blocks) + 1
+    joint = {}  # (x, w) -> {next block: probability}
+    for path in realisable_words(matrix, k + 1):
+        key = (path[0], tuple(blocks[x] for x in path[1:k]))
+        probs = joint.setdefault(key, {})
+        y = blocks[path[k]]
+        probs[y] = probs.get(y, 0.0) + word_probability(matrix, mu, path)
+    for w in itertools.product(range(n_blocks), repeat=k - 1):
+        for b in range(n_blocks):
+            members = [x for x in range(len(matrix)) if blocks[x] == b]
+            rows = {x: joint[(x, w)] for x in members
+                    if sum(joint.get((x, w), {}).values()) > 1e-15}
+            den = sum(sum(r.values()) for r in rows.values())
+            if den <= 1e-15:
+                continue
+            block_cond = [sum(r.get(y, 0.0) for r in rows.values()) / den
+                          for y in range(n_blocks)]
+            for x, r in rows.items():
+                mass = sum(r.values())
+                for y in range(n_blocks):
+                    p = r.get(y, 0.0) / mass
+                    if p > 0 and abs(p - block_cond[y]) > tol:
+                        return (x, w, y, p, block_cond[y])
+    return None
+
+
+def first_weak_violation(matrix, mu, blocks, k, horizon, tol=1e-9):
+    """First m-history whose next-block law departs from its k-suffix's.
+
+    Visits history lengths m = k+1..horizon, then histories of joint mass
+    above 1e-15 in lexicographic order, then every next block, including
+    those of probability zero. Returns (history, next block,
+    P(next | history), P(next | k-suffix)) or None.
+    """
+    n_blocks = max(blocks) + 1
+    joints = {m: lumped_word_probs(matrix, mu, blocks, m)
+              for m in range(k, horizon + 2)}
+    for m in range(k + 1, horizon + 1):
+        for w in sorted(joints[m]):
+            pw = joints[m][w]
+            ps = joints[k].get(w[-k:], 0.0)
+            if pw <= 1e-15 or ps <= 1e-15:
+                continue
+            for y in range(n_blocks):
+                full = joints[m + 1].get(w + (y,), 0.0) / pw
+                short = joints[k + 1].get(w[-k:] + (y,), 0.0) / ps
+                if abs(full - short) > tol:
+                    return (w, y, full, short)
+    return None

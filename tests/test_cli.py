@@ -6,14 +6,48 @@ import pytest
 from conftest import model_path
 from lumpchain import (
     AnalysisConfig,
+    build_chain,
+    build_lumping,
+    check_strong_lumpable,
+    check_weak_lumpable,
     export_dot,
     format_report,
+    lumped_rate_bounds,
     parse_model,
     report_from_json,
     run_analysis,
 )
 from lumpchain.cli import main, report_from_dict
 from lumpchain.errors import ParseError, ValidationError
+
+
+def assert_analysis_matches_standalone(chain, lumping):
+    config = AnalysisConfig()
+    report = run_analysis(chain, lumping, config)
+    for k in config.k_range:
+        assert report.strong[k] == check_strong_lumpable(chain, lumping, k).strong
+        horizon = max(config.weak_horizon, k)
+        assert report.weak[k] == \
+            check_weak_lumpable(chain, lumping, k, horizon).weak_up_to_horizon
+    assert report.bounds == tuple(lumped_rate_bounds(chain, lumping, n)
+                                  for n in config.horizons)
+    return report
+
+
+def test_analysis_matches_standalone_checks(corpus_case):
+    _, chain, lumping, _ = corpus_case
+    assert_analysis_matches_standalone(chain, lumping)
+
+
+def test_analysis_keeps_light_extensions_of_shallow_words():
+    # d weighs about 5e-8 and stays in block B with probability 1e-8: the
+    # word "B after start d" is lighter than MASS_EPS, yet the next-block law
+    # given d differs from block B's, which a deep analysis must still see
+    chain = build_chain([[0.0, 1 - 1e-7, 1e-7], [1.0, 0.0, 0.0], [1 - 1e-8, 0.0, 1e-8]],
+                        ["a", "c", "d"], zero_threshold=0.0)
+    lumping = build_lumping(chain, {"a": "A", "c": "B", "d": "B"})
+    report = assert_analysis_matches_standalone(chain, lumping)
+    assert not report.strong[1]
 
 
 def write_model(tmp_path, payload, name="model.json"):

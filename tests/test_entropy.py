@@ -11,6 +11,7 @@ from lumpchain import (
     build_chain,
     build_lumping,
     chain_entropy_rate,
+    check_strong_lumpable,
     conditional_entropy,
     conditional_entropy_rate_estimate,
     identity_lumping,
@@ -19,6 +20,7 @@ from lumpchain import (
     reverse_chain,
     shannon_entropy,
 )
+from lumpchain.entropy import BlockWordLattice
 from lumpchain.errors import HorizonTooLarge, NotADistribution
 
 # forward/backward conditional entropies of the weakly-1-lumpable model,
@@ -182,6 +184,26 @@ def test_bounds_sandwich_monotone(corpus_case):
         assert b.upper <= a.upper + 1e-10
     for b in seq:
         assert b.lower <= b.upper + 1e-10
+
+
+def test_mass_rule_drops_jointly_light_words():
+    # b is entered only by an edge of weight 1e-20, so every word through b
+    # is lighter than MASS_EPS; d weighs 5e-7 and its self-loop 1e-10, so
+    # the word "B after start d" is light only jointly with the start state
+    matrix = [[0.0, 1e-20, 1 - 1e-20 - 1e-6, 1e-6],
+              [1.0, 0.0, 0.0, 0.0],
+              [1.0, 0.0, 0.0, 0.0],
+              [1 - 1e-10, 0.0, 0.0, 1e-10]]
+    chain = build_chain(matrix, ["a", "b", "c", "d"], zero_threshold=0.0)
+    lumping = build_lumping(chain, {"a": "A", "b": "A", "c": "B", "d": "B"})
+    words = oracles.lumped_word_probs(matrix, list(chain.stationary), [0, 0, 1, 1], 2)
+    assert 0 < words[(0, 0)] < 1e-15 and 0 < words[(1, 1)] < 1e-15
+    lattice = BlockWordLattice(chain, lumping, 2, 2)
+    assert list(lattice.upper(2)[0]) == [1, 2]  # AB and BA; AA and BB dropped
+    lower = [list(ids) for ids, _ in lattice.lower(2)]
+    assert lower == [[1], [], [0], [0]]  # start b dropped, B after start d dropped
+    # b's next block is surely A, far from block A's law, but b does not count
+    assert check_strong_lumpable(chain, lumping, 1).strong
 
 
 def test_bounds_horizon_cap():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import load_model, raw_blocks
+from conftest import MODELS_DIR, load_model, raw_blocks
 from lumpchain import (
     block_entropy_bound_check,
     build_chain,
@@ -326,6 +326,65 @@ def test_weak_holds_for_strongly_lumpable_orders(corpus_case):
     for k, key in ((1, "strong1"), (2, "strong2")):
         if traits[key]:
             assert check_weak_lumpable(chain, lumping, k, horizon=6).weak_up_to_horizon.verdict
+
+
+# every model file plus seeded sparse chains; witnesses must be the first
+# violation in the documented order, not just any violation
+WITNESS_CASES = ([f"model:{p.stem}" for p in sorted(MODELS_DIR.glob("*.json"))]
+                 + [f"seed:{s}" for s in range(16)])
+
+
+def _witness_case(case):
+    kind, name = case.split(":")
+    if kind == "model":
+        chain, lumping = load_model(name)
+    else:
+        rng = np.random.default_rng(int(name))
+        n = int(rng.integers(3, 9))
+        n_blocks = int(rng.integers(2, min(4, n - 1) + 1))
+        matrix, blocks = oracles.random_sparse_chain(rng, n, n_blocks)
+        chain = build_chain(matrix, [str(i) for i in range(n)])
+        lumping = build_lumping(chain, {str(i): "ABCD"[b] for i, b in enumerate(blocks)})
+    labels = [lumping.map[s] for s in chain.states]
+    order = list(dict.fromkeys(labels))  # blocks by first appearance
+    matrix = [list(r) for r in chain.transition]
+    return (chain, lumping, matrix, oracles.eliminate_stationary(matrix),
+            [order.index(b) for b in labels])
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_strong_witness_is_first_by_enumeration(case):
+    chain, lumping, matrix, mu, blocks = _witness_case(case)
+    for k in (1, 2):
+        res = check_strong_lumpable(chain, lumping, k)
+        expected = oracles.first_strong_violation(matrix, mu, blocks, k)
+        if expected is None:
+            assert res.strong and res.witness is None, f"k={k}"
+            continue
+        x, word, y, prob_a, prob_b = expected
+        assert not res.strong, f"k={k}"
+        assert res.witness.conditioning == \
+            (chain.states[x],) + tuple(lumping.blocks[b] for b in word)
+        assert res.witness.symbol == lumping.blocks[y]
+        assert res.witness.prob_a == pytest.approx(prob_a, abs=1e-12)
+        assert res.witness.prob_b == pytest.approx(prob_b, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES)
+def test_weak_witness_is_first_by_enumeration(case):
+    chain, lumping, matrix, mu, blocks = _witness_case(case)
+    for k in (1, 2, 3):
+        res = check_weak_lumpable(chain, lumping, k, horizon=6)
+        expected = oracles.first_weak_violation(matrix, mu, blocks, k, 6)
+        if expected is None:
+            assert res.weak_up_to_horizon.verdict and res.witness is None, f"k={k}"
+            continue
+        word, y, prob_a, prob_b = expected
+        assert not res.weak_up_to_horizon.verdict, f"k={k}"
+        assert res.witness.conditioning == tuple(lumping.blocks[b] for b in word)
+        assert res.witness.symbol == lumping.blocks[y]
+        assert res.witness.prob_a == pytest.approx(prob_a, abs=1e-12)
+        assert res.witness.prob_b == pytest.approx(prob_b, abs=1e-12)
 
 
 def test_single_entry_and_weak_implies_strong(corpus_case):

@@ -18,6 +18,8 @@ from lumpchain import (
     check_sfs,
     check_single_entry,
     check_strong_lumpable,
+    check_weak_lumpable,
+    lumped_block_entropy,
     lumped_rate_bounds,
     pair_depth_cap,
     preimage_count,
@@ -81,6 +83,25 @@ def test_bounds_sandwich_on_random_chains(seed):
     for a, b in zip(seq, seq[1:]):
         assert a.lower <= b.lower + 1e-10
         assert b.upper <= a.upper + 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_block_entropy_increments_are_upper_bounds(seed):
+    chain, lumping, _, _ = make_instance(seed)
+    entropies = [lumped_block_entropy(chain, lumping, n) for n in range(1, 7)]
+    for n in range(1, 6):
+        increment = entropies[n] - entropies[n - 1]
+        assert abs(increment - lumped_rate_bounds(chain, lumping, n).upper) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 3))
+def test_weak_conditional_entropies_are_upper_bounds(seed, k):
+    chain, lumping, _, _ = make_instance(seed)
+    res = check_weak_lumpable(chain, lumping, k, horizon=6)
+    for h, value in enumerate(res.conditional_entropies, start=1):
+        assert abs(value - lumped_rate_bounds(chain, lumping, h).upper) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)

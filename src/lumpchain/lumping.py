@@ -10,6 +10,11 @@ how much entropy per step is provably lost.
 Realisability is structural throughout: a path is realisable iff every
 consecutive pair is an edge of the transition graph, which under an
 irreducible chain coincides with positive stationary path probability.
+
+The split-merge index and the loss bound share one search over ordered
+same-block state pairs, run as ``(n x n)`` boolean matrix products one level
+at a time: O(depth * n^3) time and O(n^2) memory, with the depth at most
+``pair_depth_cap``.
 """
 
 from __future__ import annotations
@@ -306,94 +311,58 @@ def preimage_count(chain: MarkovChain, lumping: Lumping, word: Sequence[str]) ->
 # split-merge index
 
 
-def _ordered_pairs(lumping: Lumping) -> list[tuple[int, int]]:
-    pairs = []
-    for members in lumping.member_indices:
-        for u in members:
-            for v in members:
-                if u != v:
-                    pairs.append((int(u), int(v)))
-    return pairs
-
-
 def pair_depth_cap(lumping: Lumping) -> int:
     """Number of ordered same-block state pairs; finite indices never exceed it."""
     return sum(len(m) * (len(m) - 1) for m in lumping.member_indices)
 
 
-def _pair_bfs(chain: MarkovChain, lumping: Lumping):
-    """Breadth-first search over same-block state pairs.
+def _minimal_pair_paths(chain: MarkovChain, lumping: Lumping):
+    """Split-merge index and up to ``_WITNESS_ENUM_CAP`` pair paths of that length.
 
-    A pair path of length d corresponds to two parallel state paths with the
-    same block word. Start pairs have a common predecessor; end pairs have a
-    common successor; the split-merge index is the minimal pair-path length
-    from a start to an end pair, searched no deeper than the pair count.
+    A pair (u, v) of distinct same-block states stands for two parallel state
+    paths with one block word. Start pairs have a common predecessor, end
+    pairs a common successor, and the index is the length of the shortest
+    pair path from a start to an end pair. The search runs on ``(n x n)``
+    boolean matrices, one whole level per step; each level holds unvisited
+    pairs only, so it ends within ``pair_depth_cap`` levels. Pair paths come
+    back ordered by their last pair, then by the pair before it, and so on.
     """
     adj = chain.adjacency
-    pairs = _ordered_pairs(lumping)
-    has_common_pred = {p: bool(np.any(adj[:, p[0]] & adj[:, p[1]])) for p in pairs}
-    has_common_succ = {p: bool(np.any(adj[p[0]] & adj[p[1]])) for p in pairs}
+    A = adj.astype(np.float32)  # a sum of non-negative terms is > 0 iff one is
     of_state = lumping.of_state
-
-    def pair_successors(p: tuple[int, int]):
-        u, v = p
-        for a in np.flatnonzero(adj[u]):
-            for b in np.flatnonzero(adj[v]):
-                if a != b and of_state[a] == of_state[b]:
-                    yield (int(a), int(b))
-
-    dist: dict[tuple[int, int], int] = {}
-    frontier = [p for p in pairs if has_common_pred[p]]
-    for p in frontier:
-        dist[p] = 1
-    depth_cap = pair_depth_cap(lumping)
-    kappa = math.inf
-    d = 1
-    while frontier and d <= depth_cap:
-        if any(has_common_succ[p] for p in frontier):
-            kappa = d
+    pairs = (of_state[:, None] == of_state[None, :]) & ~np.eye(chain.n, dtype=bool)
+    ends = pairs & (A @ A.T > 0)
+    frontier = pairs & (A.T @ A > 0)
+    level_type = np.min_scalar_type(pair_depth_cap(lumping))  # small: less peak memory
+    dist = np.zeros((chain.n, chain.n), dtype=level_type)
+    kappa = 1
+    while frontier.any():
+        dist[frontier] = kappa
+        if (frontier & ends).any():
             break
-        nxt = []
-        for p in frontier:
-            for q in pair_successors(p):
-                if q not in dist:
-                    dist[q] = d + 1
-                    nxt.append(q)
-        frontier = nxt
-        d += 1
-    return kappa, dist, has_common_pred, has_common_succ, pair_successors
-
-
-def _minimal_pair_paths(chain: MarkovChain, lumping: Lumping, kappa: int, dist,
-                        has_common_succ, limit: int = _WITNESS_ENUM_CAP):
-    """Enumerate pair paths of the minimal length, capped at ``limit``."""
-    adj = chain.adjacency
-    of_state = lumping.of_state
-    ends = sorted(p for p, d in dist.items() if d == kappa and has_common_succ[p])
+        rows, cols = frontier.any(axis=1), frontier.any(axis=0)  # thin levels stay cheap
+        step = A[rows].T @ frontier[np.ix_(rows, cols)] @ A[cols]  # = A.T @ frontier @ A
+        frontier = pairs & (dist == 0) & (step > 0)
+        kappa += 1
+    else:
+        return math.inf, []
     paths: list[list[tuple[int, int]]] = []
 
     def backward(path: list[tuple[int, int]]):
-        if len(paths) >= limit:
+        if len(paths) >= _WITNESS_ENUM_CAP:
             return
-        p = path[0]
-        d = dist[p]
+        u, v = path[0]
+        d = dist[u, v]
         if d == 1:
-            paths.append(list(path))
+            paths.append(path)
             return
-        u, v = p
-        preds = []
-        for a in np.flatnonzero(adj[:, u]):
-            for b in np.flatnonzero(adj[:, v]):
-                if a != b and of_state[a] == of_state[b]:
-                    q = (int(a), int(b))
-                    if dist.get(q) == d - 1:
-                        preds.append(q)
-        for q in sorted(set(preds)):
-            backward([q] + path)
+        pu, pv = np.flatnonzero(adj[:, u]), np.flatnonzero(adj[:, v])
+        for i, j in np.argwhere(dist[np.ix_(pu, pv)] == d - 1):
+            backward([(int(pu[i]), int(pv[j]))] + path)
 
-    for e in ends:
-        backward([e])
-    return paths
+    for u, v in np.argwhere(ends & (dist == kappa)):
+        backward([(int(u), int(v))])
+    return kappa, paths
 
 
 def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:
@@ -401,15 +370,16 @@ def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:
     endpoints and block image; ``math.inf`` when no such pair exists.
 
     The reported witness is the lexicographically smallest (by state index)
-    among the minimal ones, with ``path_a < path_b``.
+    among the minimal ones, with ``path_a < path_b``. Minimal pair paths are
+    enumerated up to 10 000 (``_WITNESS_ENUM_CAP``); beyond that the minimum
+    is taken over the first 10 000 only.
     """
-    kappa, dist, has_common_pred, has_common_succ, _ = _pair_bfs(chain, lumping)
+    kappa, ppaths = _minimal_pair_paths(chain, lumping)
     if not math.isfinite(kappa):
         return SplitMergeResult(kappa=math.inf, witness=None)
-    kappa = int(kappa)
     adj = chain.adjacency
     best = None
-    for ppath in _minimal_pair_paths(chain, lumping, kappa, dist, has_common_succ):
+    for ppath in ppaths:
         a = tuple(p[0] for p in ppath)
         b = tuple(p[1] for p in ppath)
         if b < a:
@@ -632,27 +602,30 @@ def _window_paths(chain: MarkovChain, lumping: Lumping, check: int,
 def entropy_loss_bound(chain: MarkovChain, lumping: Lumping) -> LossBound | None:
     """Certified per-step entropy loss, absent iff no split-merge exists.
 
-    Among all minimal witness windows the one maximising alpha times the
+    Among the minimal witness windows the one maximising alpha times the
     window entropy is reported; any window yields a sound bound, the maximum
-    is simply the strongest one found. The traversal-rate constant alpha uses
-    the most probable realisable path through the chosen window.
+    is simply the strongest one found. Windows are collected from at most
+    10 000 minimal pair paths (``_WITNESS_ENUM_CAP``), so on chains with more
+    the maximum runs over a subset: a positive 150-state chain with two
+    75-state blocks has 11 100 ordered same-block pairs, all minimal at
+    index 1. The traversal-rate constant alpha uses the most probable
+    realisable path through the chosen window.
     """
-    kappa, dist, has_common_pred, has_common_succ, _ = _pair_bfs(chain, lumping)
+    kappa, ppaths = _minimal_pair_paths(chain, lumping)
     if not math.isfinite(kappa):
         return None
-    kappa = int(kappa)
     adj = chain.adjacency
-
-    triples: set[tuple[int, tuple[int, ...], int]] = set()
-    for ppath in _minimal_pair_paths(chain, lumping, kappa, dist, has_common_succ):
-        first, last = ppath[0], ppath[-1]
-        word = tuple(int(lumping.of_state[p[0]]) for p in ppath)
-        for check in np.flatnonzero(adj[:, first[0]] & adj[:, first[1]]):
-            for hat in np.flatnonzero(adj[last[0]] & adj[last[1]]):
-                triples.add((int(check), word, int(hat)))
+    windows: dict[tuple[int, ...], np.ndarray] = {}  # word -> (check x hat) mask
+    for ppath in ppaths:
+        (u0, v0), (u1, v1) = ppath[0], ppath[-1]
+        word = tuple(int(lumping.of_state[u]) for u, _ in ppath)
+        mask = windows.setdefault(word, np.zeros_like(adj))
+        mask[np.ix_(adj[:, u0] & adj[:, v0], adj[u1] & adj[v1])] = True
+    triples = sorted((int(check), word, int(hat)) for word, mask in windows.items()
+                     for check, hat in np.argwhere(mask))
 
     best = None
-    for check, word, hat in sorted(triples):
+    for check, word, hat in triples:
         paths = _window_paths(chain, lumping, check, word, hat)
         if len(paths) < 2:
             continue

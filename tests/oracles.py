@@ -164,6 +164,21 @@ def kappa_by_path_pairs(matrix, blocks, depth_cap):
     return None
 
 
+def minimal_windows(matrix, blocks, kappa):
+    """Every witness window of length kappa, by enumerating state words.
+
+    Groups the realisable words of length kappa + 2 by (first state, block
+    image of the middle, last state). Returns a dict from each such
+    (check, middle block word, hat) with at least two distinct realisable
+    middles to the sorted list of those middles.
+    """
+    groups = {}
+    for w in realisable_words(matrix, kappa + 2):
+        mid = w[1:-1]
+        groups.setdefault((w[0], tuple(blocks[x] for x in mid), w[-1]), set()).add(mid)
+    return {key: sorted(mids) for key, mids in groups.items() if len(mids) >= 2}
+
+
 def markov_order_violation(matrix, mu, blocks, k, horizon, tol=1e-9):
     """First conditional that distinguishes an m-history from its k-suffix."""
     joints = {m: lumped_word_probs(matrix, mu, blocks, m)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from conftest import model_path
+import lumpchain
 from lumpchain import (
     AnalysisConfig,
     build_chain,
@@ -285,6 +290,20 @@ def test_main_kappa_and_checks(capsys):
                  "--seeds", "0", "1", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["checkpoints"][0]["n"] == 10
+
+
+def test_python_dash_m_entry_point(capsys):
+    src = str(pathlib.Path(lumpchain.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "lumpchain", "kappa",
+                           model_path("merge_hub")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert main(["kappa", model_path("merge_hub")]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert "split-merge index: 1" in proc.stdout
 
 
 def test_main_reverse_round_trips(tmp_path, capsys):

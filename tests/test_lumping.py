@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -198,6 +199,82 @@ def test_kappa_witness_hub_window():
         w = res.witness
         assert (w.check_state, w.hat_state) == ("3", "3")
         assert {w.path_a, w.path_b} == {("1",), ("2",)}
+
+
+# seeds of sparse_instance with split-merge index 2, 3, 4, 5, 6 and 8
+DEEP_WITNESS_SEEDS = (12, 16, 22, 23, 3, 13, 98, 163, 36, 149, 173, 238, 1980, 1629, 1467)
+
+
+def sparse_instance(seed):
+    """Seeded 5-9-state sparse chain with 2-3 blocks, as (chain, lumping)."""
+    rng = np.random.default_rng(seed)
+    n, n_blocks = int(rng.integers(5, 10)), int(rng.integers(2, 4))
+    matrix, blocks = oracles.random_sparse_chain(rng, n, n_blocks, extra_edges=1)
+    chain = build_chain(matrix, [str(i) for i in range(n)])
+    return chain, build_lumping(chain, {str(i): "ABC"[b] for i, b in enumerate(blocks)})
+
+
+def two_branch_chain(length):
+    """Hub 0 opens two parallel branches of ``length`` states that rejoin it.
+
+    The i-th states of both branches share block ``B{i}``, so the split-merge
+    index is ``length`` with the hub as check and hat state.
+    """
+    n = 2 * length + 1
+    matrix = [[0.0] * n for _ in range(n)]
+    matrix[0][0] = matrix[0][1] = matrix[0][length + 1] = 1.0 / 3.0
+    for i in range(1, length + 1):
+        for start in (i, length + i):
+            matrix[start][start + 1 if i < length else 0] = 1.0
+    chain = build_chain(matrix, [str(i) for i in range(n)])
+    assignment = {"0": "H"}
+    assignment.update({str(i): f"B{(i - 1) % length}" for i in range(1, n)})
+    return chain, build_lumping(chain, assignment)
+
+
+def assert_witnesses_match_windows(chain, lumping):
+    """Witness and loss bound agree with brute-force minimal windows."""
+    res = split_merge_index(chain, lumping)
+    bound = entropy_loss_bound(chain, lumping)
+    if math.isinf(res.kappa):
+        assert bound is None
+        return
+    kappa = int(res.kappa)
+    matrix = chain.transition.tolist()
+    windows = oracles.minimal_windows(matrix, lumping.of_state.tolist(), kappa)
+    names = chain.states
+    a, b, check, hat = min((a, b, check, hat)
+                           for (check, _, hat), mids in windows.items()
+                           for a, b in itertools.combinations(mids, 2))
+    w = res.witness
+    assert (w.path_a, w.path_b, w.check_state, w.hat_state) == (
+        tuple(names[x] for x in a), tuple(names[x] for x in b), names[check], names[hat])
+
+    mu = oracles.eliminate_stationary(matrix)
+    best = 0.0
+    for (check, _, hat), mids in windows.items():
+        probs = [oracles.word_probability(matrix, mu, (check,) + m + (hat,)) for m in mids]
+        loss = oracles.entropy_bits([p / sum(probs) for p in probs])
+        best = max(best, max(probs) / (2.0 * (kappa + 2)) * loss)
+    assert bound.rate_lower_bound == pytest.approx(best, rel=1e-9, abs=1e-15)
+
+
+def test_witnesses_match_minimal_windows_on_corpus(corpus_case):
+    _, chain, lumping, _ = corpus_case
+    assert_witnesses_match_windows(chain, lumping)
+
+
+@pytest.mark.parametrize("seed", DEEP_WITNESS_SEEDS)
+def test_witnesses_match_minimal_windows_on_deep_chains(seed):
+    chain, lumping = sparse_instance(seed)
+    assert split_merge_index(chain, lumping).kappa >= 2
+    assert_witnesses_match_windows(chain, lumping)
+
+
+def test_witnesses_match_minimal_windows_on_two_branches():
+    chain, lumping = two_branch_chain(6)
+    assert split_merge_index(chain, lumping).kappa == 6
+    assert_witnesses_match_windows(chain, lumping)
 
 
 def test_kappa_respects_depth_cap(corpus_case):

@@ -19,6 +19,8 @@ from lumpchain import (
     check_single_entry,
     check_strong_lumpable,
     check_weak_lumpable,
+    conditional_entropy_rate_estimate,
+    entropy_loss_bound,
     lumped_block_entropy,
     lumped_rate_bounds,
     pair_depth_cap,
@@ -102,6 +104,18 @@ def test_weak_conditional_entropies_are_upper_bounds(seed, k):
     res = check_weak_lumpable(chain, lumping, k, horizon=6)
     for h, value in enumerate(res.conditional_entropies, start=1):
         assert abs(value - lumped_rate_bounds(chain, lumping, h).upper) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_loss_bound_is_sound_against_exact_sandwich(seed):
+    chain, lumping, _, _ = make_instance(seed)
+    bound = entropy_loss_bound(chain, lumping)
+    intervals = [conditional_entropy_rate_estimate(chain, lumping, n) for n in range(1, 7)]
+    for interval in intervals:
+        assert bound is None or bound.rate_lower_bound <= interval.loss_upper + 1e-12
+    for a, b in zip(intervals, intervals[1:]):
+        assert a.loss_lower <= b.loss_lower + 1e-12  # exact in n, up to rounding
 
 
 @settings(max_examples=40, deadline=None)

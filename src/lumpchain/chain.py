@@ -108,7 +108,12 @@ class MarkovChain:
 
     @property
     def stationary(self) -> np.ndarray:
-        """Invariant distribution; requires irreducibility."""
+        """Invariant distribution; requires irreducibility.
+
+        Solved once at ``STATIONARY_TOL`` and cached; every analysis reads
+        this vector. Unlike :func:`stationary_distribution` it accepts
+        periodic chains and does not check the residual of the solve.
+        """
         mu = self._cache.get("stationary")
         if mu is None:
             if not self.connectivity.irreducible:
@@ -213,6 +218,11 @@ def stationary_distribution(chain: MarkovChain, tol: float = STATIONARY_TOL,
     Raises NotIrreducible or, by default, NotAperiodic for periodic chains.
     Irreducible periodic chains still have a unique invariant vector; pass
     ``require_aperiodic=False`` to obtain it.
+
+    It solves like :attr:`MarkovChain.stationary`, with a caller-chosen
+    ``tol`` and no cache, and adds two checks that the property leaves out:
+    the periodicity check above, and a residual check that raises
+    NoConvergence when ``max |mu P - mu|`` exceeds ``max(tol, 1e-10)``.
     """
     rep = chain.connectivity
     if not rep.irreducible:

@@ -17,15 +17,17 @@ raised explicitly by callers who accept the cost.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .chain import MarkovChain
-from .errors import HorizonTooLarge, NotADistribution, ZeroMassUpdate
+from .errors import HorizonTooLarge, NotADistribution, ValidationError, ZeroMassUpdate
 
 if TYPE_CHECKING:
     from .lumping import Lumping
@@ -34,6 +36,7 @@ MASS_EPS = 1e-15
 DEFAULT_MAX_HORIZON = 12
 DEFAULT_MAX_BLOCKS = 4
 DIST_SUM_TOL = 1e-9
+_SCORE_CHUNK = 1024  # belief-filter steps scored per numpy call
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def chain_entropy_rate(chain: MarkovChain) -> float:
 def block_entropy(chain: MarkovChain, n: int) -> float:
     """Entropy of a stationary length-n state word: H(mu) + (n-1) * rate."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValidationError("n must be >= 1")
     return _plogp(np.asarray(chain.stationary)) + (n - 1) * chain_entropy_rate(chain)
 
 
@@ -225,7 +228,7 @@ def lumped_block_entropy(chain: MarkovChain, lumping: "Lumping", n: int,
                          max_blocks: int = DEFAULT_MAX_BLOCKS) -> float:
     """Entropy of a stationary length-n block word, by exact forward pass."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValidationError("n must be >= 1")
     with lattice(chain, lumping, n, 0, max_horizon, max_blocks) as lat:
         return _plogp(lat.upper(n)[1].sum(axis=1))
 
@@ -240,7 +243,7 @@ def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int,
     distributions, not estimated.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValidationError("n must be >= 1")
     with lattice(chain, lumping, n, n, max_horizon, max_blocks) as lat:
         return EntropyBounds(
             horizon=n, lower=sum(_conditional_entropy(j) for _, j in lat.lower(n)),
@@ -267,6 +270,23 @@ _BLACKWELL_CAVEAT = ("time average assumes the belief process is ergodic; "
                      "this is not verified")
 
 
+def _block_entropies(laws: np.ndarray) -> np.ndarray:
+    """Row-wise -sum p*log2(p) over the positive entries of a (rows x blocks)
+    array, bit-equal to calling :func:`_plogp` on each row: rows are summed in
+    groups with the same number of positive entries, compressed to those
+    entries, so numpy adds the same terms in the same order."""
+    pos = laws > 0
+    terms = np.zeros_like(laws)
+    np.log2(laws, out=terms, where=pos)
+    terms *= laws
+    width = pos.sum(axis=1)
+    out = np.zeros(len(laws))
+    for k in set(width.tolist()) - {0}:
+        rows = width == k
+        out[rows] = -terms[rows][pos[rows]].reshape(-1, k).sum(axis=1)
+    return out
+
+
 def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: int,
                                burn_in: int | None = None, seed: int = 0,
                                batches: int = 50) -> BlackwellEstimate:
@@ -277,30 +297,50 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     the induced block distribution, draws the next block from it and
     conditions the belief on the draw. The estimate is the time average of
     the per-step scores after burn-in; the standard error comes from batch
-    means over ``batches`` equal slices. Fixed seeds give identical output.
+    means over ``batches`` equal slices, so at least two batches and one
+    post-burn-in step per batch are required. Fixed seeds give identical
+    output.
+
+    Cost: O(steps * n^2) for n states, one belief update per step, exact for
+    a fixed seed. The block laws are scored in chunks of ``_SCORE_CHUNK``
+    steps, so scoring memory does not grow with ``steps`` beyond the vector
+    of per-step scores.
     """
     if burn_in is None:
         burn_in = steps // 10
     if not 0 <= burn_in < steps:
-        raise ValueError("need steps > burn_in >= 0")
+        raise ValidationError("need steps > burn_in >= 0")
+    if batches < 2:
+        raise ValidationError("need batches >= 2 for a standard error")
+    if steps - burn_in < batches:
+        raise ValidationError(f"{steps - burn_in} post-burn-in steps cannot fill "
+                              f"{batches} batches")
     rng = np.random.default_rng(seed)
     P = chain.transition
     B = lumping.indicator
+    nb = lumping.n_blocks
+    columns = [np.ascontiguousarray(B[:, y]) for y in range(nb)]
 
     w = np.array(chain.stationary, dtype=float)
     uniforms = rng.random(steps)
     vals = np.empty(steps - burn_in)
-    for t in range(steps):
-        pred = w @ P
-        r = pred @ B
-        if t >= burn_in:
-            vals[t - burn_in] = _plogp(r)
-        cum = np.cumsum(r)
-        y = int(np.searchsorted(cum, uniforms[t] * cum[-1], side="right"))
-        y = min(y, lumping.n_blocks - 1)
-        if r[y] < 1e-300:
-            raise ZeroMassUpdate(f"drawn block {lumping.blocks[y]!r} has underflowed mass")
-        w = pred * B[:, y] / r[y]
+    laws = np.empty((_SCORE_CHUNK, nb))
+    # segments of at most one chunk; scoring starts on a segment boundary
+    ends = [*range(0, burn_in, _SCORE_CHUNK), *range(burn_in, steps, _SCORE_CHUNK), steps]
+    for lo, hi in zip(ends, ends[1:]):
+        for i, u in enumerate(uniforms[lo:hi].tolist()):
+            pred = w @ P
+            r = pred @ B
+            laws[i] = r
+            mass = r.tolist()
+            cum = list(accumulate(mass))  # sequential, as np.cumsum
+            y = min(bisect_right(cum, u * cum[-1]), nb - 1)
+            if mass[y] < 1e-300:
+                raise ZeroMassUpdate(f"drawn block {lumping.blocks[y]!r} has underflowed mass")
+            w = pred * columns[y]
+            w /= mass[y]
+        if lo >= burn_in:
+            vals[lo - burn_in:hi - burn_in] = _block_entropies(laws[:hi - lo])
 
     estimate = float(vals.mean())
     usable = (len(vals) // batches) * batches

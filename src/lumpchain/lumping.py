@@ -287,22 +287,24 @@ def preimage_count(chain: MarkovChain, lumping: Lumping, word: Sequence[str]) ->
     """Number of realisable state words with the given block image.
 
     Polynomial dynamic programme over exact integers: carry, per state, the
-    count of realisable prefixes ending there; push counts along edges and
-    keep only states inside the next block.
+    count of realisable prefixes ending there; push counts along the edges
+    from the current block into the next. Cost: O(len(word) * edges between
+    consecutive blocks) after one pass over the edges per call; counts are
+    Python ints, so they stay exact however large they grow.
     """
     w = _word_indices(lumping, word)
     if not w:
         return 0
-    adj = chain.adjacency
-    counts = [1 if lumping.of_state[x] == w[0] else 0 for x in range(chain.n)]
-    for b in w[1:]:
-        members = lumping.member_indices[b]
-        nxt = [0] * chain.n
-        for x, c in enumerate(counts):
-            if c:
-                for y in members:
-                    if adj[x, y]:
-                        nxt[y] += c
+    block = lumping.of_state.tolist()
+    edges: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (block, next block)
+    for x, y in zip(*(a.tolist() for a in np.nonzero(chain.adjacency))):
+        edges.setdefault((block[x], block[y]), []).append((x, y))
+    n = chain.n
+    counts = [int(b == w[0]) for b in block]
+    for a, b in zip(w, w[1:]):
+        nxt = [0] * n
+        for x, y in edges.get((a, b), ()):
+            nxt[y] += counts[x]
         counts = nxt
     return sum(counts)
 
@@ -542,7 +544,7 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
     if k < 1:
         raise KTooSmall("weak lumpability order must be >= 1")
     if horizon < k:
-        raise ValueError("horizon must be >= k")
+        raise ValidationError("horizon must be >= k")
     nb = lumping.n_blocks
     with lattice(chain, lumping, horizon, 0, max_horizon, max_blocks) as lat:
         tables = [lat.upper(length) for length in range(1, horizon + 1)]

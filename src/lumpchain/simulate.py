@@ -81,6 +81,8 @@ def _resolve_start(chain: MarkovChain, start_mode) -> tuple[np.ndarray, str]:
 
 
 def _sample_indices(chain: MarkovChain, length: int, rho: np.ndarray, seed: int) -> np.ndarray:
+    if length < 1:
+        raise ValidationError("length must be >= 1")
     rng = np.random.default_rng(seed)
     u = rng.random(length)
     start_cum = np.cumsum(rho).tolist()
@@ -99,8 +101,6 @@ def _sample_indices(chain: MarkovChain, length: int, rho: np.ndarray, seed: int)
 def sample_trajectory(chain: MarkovChain, length: int, start_mode="stationary",
                       seed: int = 0) -> Trajectory:
     """Sample a state word of the given length; reproducible for fixed seed."""
-    if length < 1:
-        raise ValidationError("length must be >= 1")
     rho, mode = _resolve_start(chain, start_mode)
     idx = _sample_indices(chain, length, rho, seed)
     return Trajectory(states=tuple(chain.states[i] for i in idx),

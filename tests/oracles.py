@@ -10,6 +10,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def eliminate_stationary(matrix):
     """Solve mu (P - I) = 0 with sum(mu) = 1 by Gaussian elimination.
@@ -281,3 +283,55 @@ def first_weak_violation(matrix, mu, blocks, k, horizon, tol=1e-9):
                 if abs(full - short) > tol:
                     return (w, y, full, short)
     return None
+
+
+def preimage_count_by_matrix(matrix, blocks, word):
+    """Realisable state words behind a block-index word, as a chain of exact
+    products: a row vector of Python ints times the 0/1 edge submatrix from
+    one block to the next, in object dtype so nothing overflows."""
+    adj = np.array([[int(v > 0) for v in row] for row in matrix], dtype=object)
+    members = [[x for x in range(len(matrix)) if blocks[x] == b]
+               for b in range(max(blocks) + 1)]
+    counts = np.ones(len(members[word[0]]), dtype=object)
+    for a, b in zip(word, word[1:]):
+        counts = counts.dot(adj[np.ix_(members[a], members[b])])
+    return int(counts.sum())
+
+
+def blackwell_reference(transition, stationary, indicator, steps, burn_in, seed,
+                        batches=50):
+    """The belief filter with one numpy scoring call per step.
+
+    A frozen copy of the library's original per-step loop, kept to pin the
+    faster filter bit for bit: same draws, same scores, same batch means.
+    Takes the transition matrix, the stationary vector and the (states x
+    blocks) 0/1 block indicator; returns (estimate, stderr).
+    """
+    def plogp(p):
+        p = p[p > 0]
+        if p.size == 0:
+            return 0.0
+        return float(-(p * np.log2(p)).sum())
+
+    rng = np.random.default_rng(seed)
+    P, B = transition, indicator
+    w = np.array(stationary, dtype=float)
+    uniforms = rng.random(steps)
+    vals = np.empty(steps - burn_in)
+    for t in range(steps):
+        pred = w @ P
+        r = pred @ B
+        if t >= burn_in:
+            vals[t - burn_in] = plogp(r)
+        cum = np.cumsum(r)
+        y = int(np.searchsorted(cum, uniforms[t] * cum[-1], side="right"))
+        y = min(y, B.shape[1] - 1)
+        if r[y] < 1e-300:
+            raise ZeroDivisionError("drawn block has underflowed mass")
+        w = pred * B[:, y] / r[y]
+
+    estimate = float(vals.mean())
+    usable = (len(vals) // batches) * batches
+    means = vals[:usable].reshape(batches, -1).mean(axis=1)
+    stderr = float(means.std(ddof=1) / math.sqrt(batches))
+    return estimate, stderr

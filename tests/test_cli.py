@@ -345,3 +345,18 @@ def test_main_exit_codes(tmp_path, capsys):
         "lumping": {"u": "A", "v": "A", "w": "B"},
     }))
     assert main(["bounds", str(reducible), "--n", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", (
+    ["blackwell", "--steps", "50", "--seed", "0"],
+    ["blackwell", "--steps", "10", "--burn-in", "10", "--seed", "0"],
+    ["bounds", "--n", "0"],
+    ["check-weak", "--k", "2", "--horizon", "1"],
+    ["simulate", "--length", "0", "--seeds", "0"],
+), ids=("blackwell-too-few-steps", "blackwell-burn-in-eats-all", "bounds-n0",
+        "check-weak-horizon-below-k", "simulate-length0"))
+def test_bad_arguments_exit_with_one_error_line(argv, capsys):
+    assert main([argv[0], model_path("lossy_strong2"), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

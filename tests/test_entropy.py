@@ -21,7 +21,7 @@ from lumpchain import (
     shannon_entropy,
 )
 from lumpchain.entropy import BlockWordLattice
-from lumpchain.errors import HorizonTooLarge, NotADistribution
+from lumpchain.errors import HorizonTooLarge, NotADistribution, ValidationError
 
 # forward/backward conditional entropies of the weakly-1-lumpable model,
 # recomputed in exact rational arithmetic (see matching oracle test below)
@@ -328,6 +328,18 @@ def test_loss_upper_edge_vanishes_without_witness():
              for n in (2, 4, 6, 8)]
     assert all(a >= b - 1e-12 for a, b in zip(edges, edges[1:]))
     assert edges[-1] < 1e-3
+
+
+def test_blackwell_rejects_arguments_without_a_standard_error():
+    ch, g = load_model("lossy_strong2")
+    with pytest.raises(ValidationError):
+        blackwell_entropy_estimate(ch, g, steps=10, burn_in=10)
+    with pytest.raises(ValidationError):
+        blackwell_entropy_estimate(ch, g, steps=1000, batches=1)
+    with pytest.raises(ValidationError):  # 45 post-burn-in steps for 50 batches
+        blackwell_entropy_estimate(ch, g, steps=50)
+    est = blackwell_entropy_estimate(ch, g, steps=55)  # one step per batch
+    assert math.isfinite(est.stderr)
 
 
 def test_blackwell_reproducible():

@@ -60,6 +60,14 @@ def test_sample_rejects_bad_start():
         sample_trajectory(ch, 0)
 
 
+def test_growth_and_occurrence_reject_empty_trajectories():
+    ch, g = load_model("merge_hub")
+    with pytest.raises(ValidationError):
+        empirical_growth(ch, g, 0, [0])
+    with pytest.raises(ValidationError):
+        occurrence_rate_check(ch, (ch.states[0],), 0, [0])
+
+
 def test_traversal_trajectory_equals_pattern():
     stats = traversal_stats(("a", "b"), ("a", "b"))
     assert stats.non_overlapping == (1,)

@@ -211,7 +211,7 @@ def lattice(chain: MarkovChain, lumping: "Lumping", upper_horizon: int, lower_ho
         raise HorizonTooLarge(f"horizon {upper_horizon} exceeds cap {max_horizon}")
     if lumping.n_blocks > max_blocks:
         raise HorizonTooLarge(
-            f"{lumping.n_blocks} blocks exceed cap {max_blocks} for path enumeration")
+            f"{lumping.n_blocks} blocks exceed cap {max_blocks} for the block-word lattice")
     lat = _SCOPE.get()
     if (lat is None or lat.chain is not chain or lat.lumping is not lumping
             or lat.upper_horizon < upper_horizon or lat.lower_horizon < lower_horizon):

@@ -84,7 +84,8 @@ class StateSpaceTooLarge(AnalysisError):
 
 
 class HorizonTooLarge(AnalysisError):
-    """Requested horizon exceeds the path enumeration budget."""
+    """Requested horizon or block count exceeds the block-word lattice budget,
+    or a word or path count exceeds its enumeration budget."""
 
 
 class PreconditionViolated(AnalysisError):

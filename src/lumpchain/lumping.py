@@ -14,7 +14,11 @@ irreducible chain coincides with positive stationary path probability.
 The split-merge index and the loss bound share one search over ordered
 same-block state pairs, run as ``(n x n)`` boolean matrix products one level
 at a time: O(depth * n^3) time and O(n^2) memory, with the depth at most
-``pair_depth_cap``.
+``pair_depth_cap``. The loss bound then scores all minimal windows of one
+block word at once with semiring matrix products over the word's transition
+blocks, O(words * rows * sum |B_i| |B_{i+1}|) for ``rows`` check states per
+word, and enumerates the paths of only the windows that score within a
+rounding margin of the best.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .errors import (
 DEFAULT_PROB_TOL = 1e-9
 _WITNESS_ENUM_CAP = 10_000
 _SFS_PATH_BUDGET = 1_000_000
+_MASK_CHUNK = 1024  # pair paths per window-mask product: O(n * chunk) memory
 
 
 class Lumping:
@@ -364,6 +369,7 @@ def _minimal_pair_paths(chain: MarkovChain, lumping: Lumping):
 
     for u, v in np.argwhere(ends & (dist == kappa)):
         backward([(int(u), int(v))])
+    del backward  # a recursive closure is a reference cycle that would hold dist
     return kappa, paths
 
 
@@ -468,8 +474,9 @@ def check_sfs(chain: MarkovChain, lumping: Lumping, k: int,
     for x0 in range(chain.n):
         bad = walk(x0, ())
         if bad is not None:
-            return SfsResult(order_k=k, holds=False, violation=bad)
-    return SfsResult(order_k=k, holds=True, violation=None)
+            break
+    del walk  # a recursive closure is a reference cycle that would hold the chain
+    return SfsResult(order_k=k, holds=bad is None, violation=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +489,11 @@ def _group_rows(keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     out = np.zeros((len(uniq), rows.shape[1]))
     np.add.at(out, inv, rows)
     return uniq, out
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
 
 
 def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
@@ -499,6 +511,7 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
     """
     if k < 1:
         raise KTooSmall("strong lumpability order must be >= 1")
+    _check_tol(tol)
     nb = lumping.n_blocks
     with lattice(chain, lumping, k, k, max_horizon, max_blocks) as lat:
         per_start = lat.lower(k)
@@ -545,6 +558,7 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
         raise KTooSmall("weak lumpability order must be >= 1")
     if horizon < k:
         raise ValidationError("horizon must be >= k")
+    _check_tol(tol)
     nb = lumping.n_blocks
     with lattice(chain, lumping, horizon, 0, max_horizon, max_blocks) as lat:
         tables = [lat.upper(length) for length in range(1, horizon + 1)]
@@ -598,6 +612,21 @@ def _window_paths(chain: MarkovChain, lumping: Lumping, check: int,
                 extend(path + (int(x),), prob * P[prev, int(x)])
 
     extend((), float(mu[check]))
+    del extend  # a recursive closure is a reference cycle that would hold out
+    return out
+
+
+def _max_times(V: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Max-times product: entry (i, k) is the largest ``V[i, j] * T[j, k]``.
+
+    Loops over the middle states j that some row reaches, each touching only
+    the nonzero entries of ``T[j]``; a broadcast (rows x j x k) tensor would
+    need tens of MB on a few hundred states.
+    """
+    out = np.zeros((V.shape[0], T.shape[1]))
+    for j in np.flatnonzero(V.any(axis=0)):
+        nz = np.flatnonzero(T[j])
+        out[:, nz] = np.maximum(out[:, nz], V[:, j, None] * T[j, nz])
     return out
 
 
@@ -612,25 +641,65 @@ def entropy_loss_bound(chain: MarkovChain, lumping: Lumping) -> LossBound | None
     75-state blocks has 11 100 ordered same-block pairs, all minimal at
     index 1. The traversal-rate constant alpha uses the most probable
     realisable path through the chosen window.
+
+    Every window of one block word is scored at once by products over the
+    word's transition blocks ``P[B_i, B_{i+1}]``, from the window check
+    states to the hat states: ordinary products give the total mass Z of the
+    middle paths, the expectation semiring their sum S of p·log2 p, and
+    max-times products the top path, so the window entropy is
+    ``log2 Z - S/Z``. That costs O(words · rows · Σ|B_i|·|B_{i+1}|) for
+    ``rows`` check states per word. Only the windows whose score lies
+    within a rounding margin of the best are then scored exactly from
+    their enumerated paths, and the best of those is reported, so the
+    result does not depend on the rounding of the products.
     """
     kappa, ppaths = _minimal_pair_paths(chain, lumping)
     if not math.isfinite(kappa):
         return None
     adj = chain.adjacency
-    windows: dict[tuple[int, ...], np.ndarray] = {}  # word -> (check x hat) mask
+    block = lumping.of_state.tolist()
+    ends: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # word -> first and last pairs
     for ppath in ppaths:
-        (u0, v0), (u1, v1) = ppath[0], ppath[-1]
-        word = tuple(int(lumping.of_state[u]) for u, _ in ppath)
-        mask = windows.setdefault(word, np.zeros_like(adj))
-        mask[np.ix_(adj[:, u0] & adj[:, v0], adj[u1] & adj[v1])] = True
-    triples = sorted((int(check), word, int(hat)) for word, mask in windows.items()
-                     for check, hat in np.argwhere(mask))
+        ends.setdefault(tuple(block[u] for u, _ in ppath), []).append(ppath[0] + ppath[-1])
+
+    P, mu = chain.transition, chain.stationary
+    scored = []  # (word, checks, hats, score, rounding bound) per word
+    for word, pairs in ends.items():
+        # window (check, hat) of a pair path: check a common predecessor of its
+        # first pair, hat a common successor of its last; every window then
+        # holds at least the pair path's two paths
+        mask = np.zeros_like(adj)
+        for i in range(0, len(pairs), _MASK_CHUNK):
+            u0, v0, u1, v1 = np.array(pairs[i:i + _MASK_CHUNK]).T
+            mask |= ((adj[:, u0] & adj[:, v0]).astype(np.float32)
+                     @ (adj[u1] & adj[v1]).astype(np.float32)) > 0
+        rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+        states = [rows, *(lumping.member_indices[b] for b in word), cols]
+        for i, (a, b) in enumerate(zip(states, states[1:])):
+            T = P[np.ix_(a, b)]
+            TlogT = T * np.log2(T, out=np.zeros_like(T), where=T > 0)
+            if i == 0:
+                Z, S, V = T, TlogT, T
+            else:
+                Z, S, V = Z @ T, S @ T + Z @ TlogT, _max_times(V, T)
+        r, c = np.nonzero(mask[np.ix_(rows, cols)])
+        logz, mean = np.log2(Z[r, c]), S[r, c] / Z[r, c]
+        alpha = mu[rows[r]] * V[r, c] / (2.0 * (kappa + 2))
+        # a relative 1e-9 of both terms, and an absolute 1e-12 bits for
+        # log2 Z near 0, where the two cancel on nearly deterministic windows
+        bound = alpha * (1e-9 * (np.abs(logz) + np.abs(mean)) + 1e-12)
+        scored.append((word, rows[r], cols[c], alpha * (logz - mean), bound))
+    floor = max(float(np.max(score - bound)) for *_, score, bound in scored)
+    triples = []  # the windows that may beat every other one
+    for word, checks, hats, score, bound in scored:
+        near = score + bound >= floor
+        triples += [(check, word, hat)
+                    for check, hat in zip(checks[near].tolist(), hats[near].tolist())]
+    triples.sort()
 
     best = None
     for check, word, hat in triples:
         paths = _window_paths(chain, lumping, check, word, hat)
-        if len(paths) < 2:
-            continue
         probs = np.array([p for _, p in paths])
         loss = _plogp(probs / probs.sum())
         order = sorted(range(len(paths)), key=lambda i: (-paths[i][1], paths[i][0]))
@@ -650,7 +719,7 @@ def entropy_loss_bound(chain: MarkovChain, lumping: Lumping) -> LossBound | None
             best = (key, LossBound(witness=witness, loss_entropy=loss, alpha=alpha,
                                    rate_lower_bound=alpha * loss,
                                    growth_constant=2.0 ** alpha))
-    return None if best is None else best[1]
+    return best[1]
 
 
 def block_entropy_bound_check(chain: MarkovChain, lumping: Lumping, n: int,

@@ -335,3 +335,78 @@ def blackwell_reference(transition, stationary, indicator, steps, burn_in, seed,
     means = vals[:usable].reshape(batches, -1).mean(axis=1)
     stderr = float(means.std(ddof=1) / math.sqrt(batches))
     return estimate, stderr
+
+
+def loss_bound_by_enumeration(chain, lumping, scores=None):
+    """The loss bound by scoring every minimal window from its enumerated paths.
+
+    A frozen copy of the library's original per-window loop, kept to pin the
+    matrix-scored bound bit for bit: same windows (built from the library's
+    own capped pair search, which this oracle trusts), same probabilities,
+    same ``(-score, check, word, hat)`` choice. Returns a ``LossBound`` or
+    None; a dict passed as ``scores`` receives every window's score, keyed by
+    ``(check, word, hat)``.
+    """
+    from lumpchain.entropy import _plogp
+    from lumpchain.lumping import LossBound, SplitMergeWitness, _minimal_pair_paths
+
+    def _window_paths(chain, lumping, check, word, hat):
+        adj = chain.adjacency
+        P = chain.transition
+        mu = chain.stationary
+        out = []
+
+        def extend(path, prob):
+            depth = len(path)
+            if depth == len(word):
+                if adj[path[-1], hat]:
+                    out.append((path, prob * P[path[-1], hat]))
+                return
+            for x in lumping.member_indices[word[depth]]:
+                prev = path[-1] if path else check
+                if adj[prev, x]:
+                    extend(path + (int(x),), prob * P[prev, int(x)])
+
+        extend((), float(mu[check]))
+        return out
+
+    kappa, ppaths = _minimal_pair_paths(chain, lumping)
+    if not math.isfinite(kappa):
+        return None
+    adj = chain.adjacency
+    windows = {}  # word -> (check x hat) mask
+    for ppath in ppaths:
+        (u0, v0), (u1, v1) = ppath[0], ppath[-1]
+        word = tuple(int(lumping.of_state[u]) for u, _ in ppath)
+        mask = windows.setdefault(word, np.zeros_like(adj))
+        mask[np.ix_(adj[:, u0] & adj[:, v0], adj[u1] & adj[v1])] = True
+    triples = sorted((int(check), word, int(hat)) for word, mask in windows.items()
+                     for check, hat in np.argwhere(mask))
+
+    best = None
+    for check, word, hat in triples:
+        paths = _window_paths(chain, lumping, check, word, hat)
+        if len(paths) < 2:
+            continue
+        probs = np.array([p for _, p in paths])
+        loss = _plogp(probs / probs.sum())
+        order = sorted(range(len(paths)), key=lambda i: (-paths[i][1], paths[i][0]))
+        top = order[0]
+        alpha = float(paths[top][1]) / (2.0 * (kappa + 2))
+        score = alpha * loss
+        if scores is not None:
+            scores[check, word, hat] = score
+        other = min(p for i, (p, _) in enumerate(paths) if p != paths[top][0])
+        key = (-score, check, word, hat)
+        if best is None or key < best[0]:
+            witness = SplitMergeWitness(
+                kappa=kappa,
+                check_state=chain.states[check],
+                hat_state=chain.states[hat],
+                lumped_word=tuple(lumping.blocks[b] for b in word),
+                path_a=tuple(chain.states[i] for i in paths[top][0]),
+                path_b=tuple(chain.states[i] for i in other))
+            best = (key, LossBound(witness=witness, loss_entropy=loss, alpha=alpha,
+                                   rate_lower_bound=alpha * loss,
+                                   growth_constant=2.0 ** alpha))
+    return None if best is None else best[1]

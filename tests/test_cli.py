@@ -353,8 +353,16 @@ def test_main_exit_codes(tmp_path, capsys):
     ["bounds", "--n", "0"],
     ["check-weak", "--k", "2", "--horizon", "1"],
     ["simulate", "--length", "0", "--seeds", "0"],
+    ["check-strong", "--k", "1", "--tol", "nan"],
+    ["check-strong", "--k", "1", "--tol", "inf"],
+    ["check-strong", "--k", "2", "--tol", "-1"],
+    ["check-weak", "--k", "1", "--horizon", "2", "--tol", "nan"],
+    ["check-weak", "--k", "1", "--horizon", "2", "--tol=-inf"],
+    ["analyze", "--tol", "nan"],
 ), ids=("blackwell-too-few-steps", "blackwell-burn-in-eats-all", "bounds-n0",
-        "check-weak-horizon-below-k", "simulate-length0"))
+        "check-weak-horizon-below-k", "simulate-length0", "check-strong-tol-nan",
+        "check-strong-tol-inf", "check-strong-tol-negative", "check-weak-tol-nan",
+        "check-weak-tol-minus-inf", "analyze-tol-nan"))
 def test_bad_arguments_exit_with_one_error_line(argv, capsys):
     assert main([argv[0], model_path("lossy_strong2"), *argv[1:]]) == 1
     out, err = capsys.readouterr()

@@ -15,7 +15,6 @@ literal nonzero entry as an edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -236,19 +235,18 @@ def stationary_distribution(chain: MarkovChain, tol: float = STATIONARY_TOL,
     return mu
 
 
-def _reachable(succ: Sequence[np.ndarray], start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ[u]:
-                v = int(v)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
+def _levels(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first level of every state from state 0 (-1: unreachable),
+    one boolean frontier per level."""
+    level = np.full(len(adj), -1)
+    frontier = np.zeros(len(adj), dtype=bool)
+    frontier[0] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    return level
 
 
 def check_irreducible_aperiodic(chain: MarkovChain) -> ConnectivityReport:
@@ -258,32 +256,11 @@ def check_irreducible_aperiodic(chain: MarkovChain) -> ConnectivityReport:
     For reducible chains the period refers to the part reachable from the
     first state.
     """
-    n = chain.n
     adj = chain.adjacency
-    succ = chain.successors
-    pred = tuple(np.flatnonzero(adj[:, j]) for j in range(n))
-    fwd = _reachable(succ, 0)
-    bwd = _reachable(pred, 0)
-    irreducible = len(fwd) == n and len(bwd) == n
-
-    level = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ[u]:
-                v = int(v)
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in fwd:
-        for v in succ[u]:
-            v = int(v)
-            if v in level:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    period = abs(g)
+    level = _levels(adj)
+    irreducible = bool((level >= 0).all() and (_levels(adj.T) >= 0).all())
+    u, v = np.nonzero(adj & (level >= 0)[:, None])
+    period = int(np.gcd.reduce(level[u] + 1 - level[v]))
     return ConnectivityReport(irreducible=irreducible,
                               aperiodic=period == 1,
                               period=period)

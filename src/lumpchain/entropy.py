@@ -7,11 +7,14 @@ and every block-word quantity reads its tables via a :class:`BlockWordLattice`.
 Mass rule: a word of joint mass at most ``MASS_EPS``, counting its start
 state's stationary weight, is dropped with all its extensions.
 
-Cost: the upper pass to horizon h costs |blocks|^h * n^2 for n states; the
-lower pass is n calls, one per start state, at depth h-1, each keeping only
-the (words x blocks) next-block joints of its levels. The default budget
-admits horizons up to 12 on chains with at most 4 blocks; both caps can be
-raised explicitly by callers who accept the cost.
+Cost: the upper pass to horizon h costs |blocks|^h * n^2 for n states. The
+lower pass is one pass from diag(mu) to depth h-1, the start state being
+the leading digit of each word id, over at most n * |blocks|^(h-1) rows. It
+runs over start chunks whose predicted deepest rows x n stay within
+``_LOWER_CHUNK`` elements, which bounds its peak working set. Every pass
+keeps only the (words x blocks) next-block joints of its levels. The default
+budget admits horizons up to 12 on chains with at most 4 blocks; both caps
+can be raised explicitly by callers who accept the cost.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ DEFAULT_MAX_HORIZON = 12
 DEFAULT_MAX_BLOCKS = 4
 DIST_SUM_TOL = 1e-9
 _SCORE_CHUNK = 1024  # belief-filter steps scored per numpy call
+_LOWER_CHUNK = 1 << 16  # predicted (rows x states) elements per lower-pass chunk
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,14 @@ class WordTable:
         return len(self.ids)
 
 
+def _check_id_width(starts: int, nb: int, n_symbols: int) -> None:
+    """Refuse word ids, with ``starts`` leading start digits, that 64 bits
+    cannot hold one symbol beyond ``n_symbols``."""
+    if starts * nb ** (n_symbols + 1) > np.iinfo(np.int64).max:
+        raise HorizonTooLarge(f"{starts} x {nb}^{n_symbols + 1} block words "
+                              "overflow 64-bit word ids")
+
+
 def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
                    n_symbols: int, first_is_current: bool) -> WordTable:
     """Joint mass over the hidden state of every live length-``n_symbols`` word.
@@ -137,15 +149,16 @@ def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
     ``rho`` is the state mass at time 0. With ``first_is_current`` the word
     starts with the block of the time-0 state; otherwise every symbol costs
     one transition. Words are dropped by the mass rule as they are built.
+    A 2-D ``rho`` runs one pass per row at once: the row index is the leading
+    digit of every word id, so the rows stay in (row, word) order.
     """
     nb = lumping.n_blocks
-    if nb ** (n_symbols + 1) > np.iinfo(np.int64).max:
-        raise HorizonTooLarge(f"{nb}^{n_symbols + 1} block words overflow 64-bit word ids")
+    mass = np.atleast_2d(np.asarray(rho, dtype=float))
+    _check_id_width(len(mass), nb, n_symbols)
     P = chain.transition
     B = lumping.indicator
-    mass = np.asarray(rho, dtype=float)[None, :]
     live = mass.sum(axis=1) > MASS_EPS  # the empty word obeys the mass rule too
-    ids, mass = np.zeros(1, dtype=np.int64)[live], mass[live]
+    ids, mass = np.arange(len(mass), dtype=np.int64)[live], mass[live]
     pushed = mass if first_is_current else mass @ P
     levels = [(ids, pushed @ B)]
     for _ in range(n_symbols):
@@ -164,14 +177,56 @@ def _conditional_entropy(joint: np.ndarray) -> float:
     return float(-np.vdot(joint, cond))
 
 
+def _start_chunks(chain: MarkovChain, nb: int, depth: int) -> list[int]:
+    """Boundaries of the consecutive start-state chunks of a lower pass.
+
+    ``W_0 = 1`` and ``W_m(x) = min(nb**m, sum of W_{m-1}(y) over the
+    successors y of x)`` bound the live m-words after x from above. A chunk
+    closes before its predicted rows at ``depth`` times n would pass
+    ``_LOWER_CHUNK``; a start whose rows alone pass it gets its own chunk.
+    """
+    n = chain.n
+    src, dst = np.nonzero(chain.adjacency)
+    rows = np.ones(n)
+    for m in range(1, depth + 1):
+        rows = np.minimum(float(nb) ** m, np.bincount(src, weights=rows[dst], minlength=n))
+    ends = np.cumsum(rows)
+    bounds = [0]
+    while bounds[-1] < n:
+        lo = bounds[-1]
+        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0.0) + _LOWER_CHUNK / n,
+                                 side="right"))
+        bounds.append(max(hi, lo + 1))
+    return bounds
+
+
+def _lower_levels(chain: MarkovChain, lumping: "Lumping", depth: int):
+    """Every level of the pass from diag(mu) to ``depth`` blocks after the
+    start state, run chunk by chunk and concatenated in (start, word) order."""
+    n, nb, mu = chain.n, lumping.n_blocks, chain.stationary
+    _check_id_width(n, nb, depth)
+    bounds = _start_chunks(chain, nb, depth)
+    chunks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        rho = np.zeros((hi - lo, n))
+        rho[np.arange(hi - lo), np.arange(lo, hi)] = mu[lo:hi]
+        levels = lumped_forward(chain, lumping, rho, depth, False).levels
+        chunks.append([(ids + lo * nb ** m, joint) for m, (ids, joint) in enumerate(levels)])
+    return tuple((np.concatenate(ids), np.concatenate(joints))
+                 for ids, joints in (zip(*level) for level in zip(*chunks)))
+
+
 class BlockWordLattice:
     """Joint laws of block words at every horizon up to two depths.
 
     The upper tables come from one pass from the stationary law to
-    ``upper_horizon`` blocks, the lower tables from one pass per start state
-    x, from mass mu(x), to ``lower_horizon`` - 1 blocks after x (0: none).
-    Every pass keeps each level it builds, so a horizon reads the same
-    numbers whatever depth the lattice was built to.
+    ``upper_horizon`` blocks. The lower tables come from one pass from
+    diag(mu) to ``lower_horizon`` - 1 blocks after the start state (0: none),
+    whose word ids lead with the start state. It runs over start chunks, so
+    its peak working set is bounded by the predicted rows x n of a chunk
+    (``_LOWER_CHUNK`` elements unless one start alone needs more). Every pass
+    keeps each level it builds, so a horizon reads the same numbers whatever
+    depth the lattice was built to.
     """
 
     def __init__(self, chain: MarkovChain, lumping: "Lumping",
@@ -179,21 +234,16 @@ class BlockWordLattice:
         self.chain, self.lumping = chain, lumping
         self.upper_horizon, self.lower_horizon = upper_horizon, lower_horizon
         self._upper = lumped_forward(chain, lumping, chain.stationary, upper_horizon, True).levels
-        self._lower = []
-        if lower_horizon:
-            mu, eye = chain.stationary, np.eye(chain.n)
-            self._lower = [lumped_forward(chain, lumping, mu[x] * eye[x],
-                                          lower_horizon - 1, False).levels
-                           for x in range(chain.n)]
+        self._lower = _lower_levels(chain, lumping, lower_horizon - 1) if lower_horizon else ()
 
     def upper(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids of the live h-words and their joint with the next block."""
         return self._upper[h]
 
-    def lower(self, h: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per start state, ids of the live (h-1)-words after it and their
-        joint with the start state and the next block."""
-        return [levels[h - 1] for levels in self._lower]
+    def lower(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids ``start * nb**(h-1) + word`` of the live (start state,
+        (h-1)-word) pairs, in that order, and their joint with the next block."""
+        return self._lower[h - 1]
 
 
 _SCOPE: ContextVar[BlockWordLattice | None] = ContextVar("lattice_scope", default=None)
@@ -246,7 +296,7 @@ def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int,
         raise ValidationError("n must be >= 1")
     with lattice(chain, lumping, n, n, max_horizon, max_blocks) as lat:
         return EntropyBounds(
-            horizon=n, lower=sum(_conditional_entropy(j) for _, j in lat.lower(n)),
+            horizon=n, lower=_conditional_entropy(lat.lower(n)[1]),
             upper=_conditional_entropy(lat.upper(n)[1]))
 
 

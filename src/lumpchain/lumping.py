@@ -514,10 +514,9 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
     _check_tol(tol)
     nb = lumping.n_blocks
     with lattice(chain, lumping, k, k, max_horizon, max_blocks) as lat:
-        per_start = lat.lower(k)
+        ids, joint = lat.lower(k)
         bounds = lumped_rate_bounds(chain, lumping, k, max_horizon, max_blocks)
-    start = np.repeat(np.arange(chain.n), [len(ids) for ids, _ in per_start])
-    word, joint = (np.concatenate(parts) for parts in zip(*per_start))
+    start, word = np.divmod(ids, nb ** (k - 1))
     key = word * nb + lumping.of_state[start]  # (word, start block)
     groups, block_joint = _group_rows(key, joint)
     block_cond = (block_joint / block_joint.sum(axis=1, keepdims=True))[

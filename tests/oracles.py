@@ -410,3 +410,134 @@ def loss_bound_by_enumeration(chain, lumping, scores=None):
                                    rate_lower_bound=alpha * loss,
                                    growth_constant=2.0 ** alpha))
     return None if best is None else best[1]
+
+
+def connectivity_by_bfs(chain):
+    """Connectivity report by Python set breadth-first searches.
+
+    A frozen copy of the library's original loops, kept to pin the boolean
+    frontier levels: forward and backward reachability from state 0, then
+    the gcd of ``level[u] + 1 - level[v]`` over the edges reachable from it.
+    """
+    from lumpchain.chain import ConnectivityReport
+
+    def _reachable(succ, start):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in succ[u]:
+                    v = int(v)
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        return seen
+
+    n = chain.n
+    adj = chain.adjacency
+    succ = chain.successors
+    pred = tuple(np.flatnonzero(adj[:, j]) for j in range(n))
+    fwd = _reachable(succ, 0)
+    bwd = _reachable(pred, 0)
+    irreducible = len(fwd) == n and len(bwd) == n
+
+    level = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in succ[u]:
+                v = int(v)
+                if v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    g = 0
+    for u in fwd:
+        for v in succ[u]:
+            v = int(v)
+            if v in level:
+                g = math.gcd(g, level[u] + 1 - level[v])
+    period = abs(g)
+    return ConnectivityReport(irreducible=irreducible,
+                              aperiodic=period == 1,
+                              period=period)
+
+
+def _forward_levels(chain, lumping, rho, n_symbols, first_is_current):
+    """Frozen copy of the library's original single-start forward pass:
+    every level's live word ids and next-block joints."""
+    from lumpchain.entropy import MASS_EPS
+
+    nb = lumping.n_blocks
+    P = chain.transition
+    B = lumping.indicator
+    mass = np.asarray(rho, dtype=float)[None, :]
+    live = mass.sum(axis=1) > MASS_EPS  # the empty word obeys the mass rule too
+    ids, mass = np.zeros(1, dtype=np.int64)[live], mass[live]
+    pushed = mass if first_is_current else mass @ P
+    levels = [(ids, pushed @ B)]
+    for _ in range(n_symbols):
+        words, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
+        ids, mass = ids[words] * nb + blocks, pushed[words]
+        mass[lumping.of_state != blocks[:, None]] = 0.0
+        pushed = mass @ P
+        levels.append((ids, pushed @ B))
+    return tuple(levels)
+
+
+def lower_levels_by_start(chain, lumping, lower_horizon):
+    """The lower tables by one forward pass per start state x, from mass
+    mu(x), to ``lower_horizon`` - 1 blocks: the library's original loop.
+    Entry x holds every level of start x, ids without the start digit."""
+    mu, eye = chain.stationary, np.eye(chain.n)
+    return [_forward_levels(chain, lumping, mu[x] * eye[x], lower_horizon - 1, False)
+            for x in range(chain.n)]
+
+
+def rate_bounds_by_start(chain, lumping, n):
+    """Horizon-n (lower, upper) rate bounds with the lower edge summed start
+    by start over ``lower_levels_by_start``, as the library first did."""
+    from lumpchain.entropy import _conditional_entropy
+
+    per_start = lower_levels_by_start(chain, lumping, n)
+    upper = _forward_levels(chain, lumping, chain.stationary, n, True)[n][1]
+    return (sum(_conditional_entropy(levels[n - 1][1]) for levels in per_start),
+            _conditional_entropy(upper))
+
+
+def strong_verdict_by_start(chain, lumping, k, tol=1e-9):
+    """``check_strong_lumpable`` as first written over the per-start tables:
+    the start digit comes from ``np.repeat`` and the rows from
+    ``np.concatenate``; the bounds from ``rate_bounds_by_start``."""
+    from lumpchain.lumping import (LumpabilityCounterexample, LumpabilityVerdict,
+                                   _group_rows)
+
+    nb = lumping.n_blocks
+    per_start = [levels[k - 1] for levels in lower_levels_by_start(chain, lumping, k)]
+    lower, upper = rate_bounds_by_start(chain, lumping, k)
+    start = np.repeat(np.arange(chain.n), [len(ids) for ids, _ in per_start])
+    word, joint = (np.concatenate(parts) for parts in zip(*per_start))
+    key = word * nb + lumping.of_state[start]  # (word, start block)
+    groups, block_joint = _group_rows(key, joint)
+    block_cond = (block_joint / block_joint.sum(axis=1, keepdims=True))[
+        np.searchsorted(groups, key)]
+    cond = joint / joint.sum(axis=1, keepdims=True)
+    bad_row, bad_y = np.nonzero((cond > 0.0) & (np.abs(cond - block_cond) > tol))
+    witness = None
+    if bad_row.size:
+        first = np.lexsort((bad_y, start[bad_row], key[bad_row]))[0]
+        r, y = bad_row[first], bad_y[first]
+        witness = LumpabilityCounterexample(
+            conditioning=(chain.states[start[r]],) + tuple(
+                lumping.blocks[b] for b in np.unravel_index(word[r], (nb,) * (k - 1))),
+            symbol=lumping.blocks[y],
+            prob_a=float(cond[r, y]),
+            prob_b=float(block_cond[r, y]))
+    return LumpabilityVerdict(order_k=k,
+                              strong=witness is None,
+                              witness=witness,
+                              rate_bound_lower=lower,
+                              rate_bound_upper=upper)

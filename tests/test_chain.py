@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import load_model, raw_blocks
+from conftest import MODELS_DIR, load_model, raw_blocks
 from lumpchain import (
     build_chain,
     check_irreducible_aperiodic,
     k_transition_chain,
+    parse_model,
     path_probability,
     reverse_chain,
     stationary_distribution,
@@ -110,6 +111,43 @@ def test_connectivity_corpus_all_irreducible(corpus_case):
     rep = check_irreducible_aperiodic(chain)
     assert rep.irreducible
     assert rep.aperiodic == (name != "parallel_cycle")
+
+
+# the boolean-frontier levels against the set BFS they replaced
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_connectivity_matches_set_bfs_on_corpus(path):
+    chain, _ = parse_model(str(path))
+    assert check_irreducible_aperiodic(chain) == oracles.connectivity_by_bfs(chain)
+
+
+@pytest.mark.parametrize("matrix,expected", [
+    (np.roll(np.eye(5), 1, axis=1), (True, 5)),  # pure 5-cycle
+    ([[0, 0, .5, .5], [0, 0, 1, 0], [.3, .7, 0, 0], [1, 0, 0, 0]], (True, 2)),  # bipartite
+    ([[1, 0, 0], [.5, 0, .5], [0, .5, .5]], (False, 1)),  # 0 absorbing
+    ([[0, 1, 0], [0, 0, 1], [0, 1, 0]], (False, 2)),  # 0 transient, periodic sink
+])
+def test_connectivity_matches_set_bfs_on_periodic_and_reducible(matrix, expected):
+    chain = build_chain(matrix)
+    rep = check_irreducible_aperiodic(chain)
+    assert rep == oracles.connectivity_by_bfs(chain)
+    assert (rep.irreducible, rep.period) == expected
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_connectivity_matches_set_bfs_on_sparse_chains(seed):
+    # even seeds: irreducible aperiodic; odd: 1-2 random out-edges per
+    # state, reducible
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    if seed % 2 == 0:
+        matrix, _ = oracles.random_sparse_chain(rng, n, 2)
+    else:
+        matrix = np.zeros((n, n))
+        for x in range(n):
+            matrix[x, rng.choice(n, size=int(rng.integers(1, 3)), replace=False)] = 1.0
+        matrix /= matrix.sum(axis=1, keepdims=True)
+    chain = build_chain(matrix)
+    assert check_irreducible_aperiodic(chain) == oracles.connectivity_by_bfs(chain)
 
 
 def test_reverse_detailed_balance_is_identity():

@@ -200,8 +200,8 @@ def test_mass_rule_drops_jointly_light_words():
     assert 0 < words[(0, 0)] < 1e-15 and 0 < words[(1, 1)] < 1e-15
     lattice = BlockWordLattice(chain, lumping, 2, 2)
     assert list(lattice.upper(2)[0]) == [1, 2]  # AB and BA; AA and BB dropped
-    lower = [list(ids) for ids, _ in lattice.lower(2)]
-    assert lower == [[1], [], [0], [0]]  # start b dropped, B after start d dropped
+    lower = [divmod(int(i), 2) for i in lattice.lower(2)[0]]  # (start, word) ids
+    assert lower == [(0, 1), (2, 0), (3, 0)]  # start b dropped, B after start d dropped
     # b's next block is surely A, far from block A's law, but b does not count
     assert check_strong_lumpable(chain, lumping, 1).strong
 

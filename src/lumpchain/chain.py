@@ -135,8 +135,9 @@ def build_chain(matrix, states: Sequence[str] | None = None,
                 initial=None, zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> MarkovChain:
     """Validate a transition matrix and construct a chain.
 
-    Rows must sum to one within ``1e-9``; they are renormalised afterwards so
-    the stored matrix satisfies the row-sum invariant to machine precision.
+    Entries must be finite and rows must sum to one within ``1e-9``; they are
+    renormalised afterwards so the stored matrix satisfies the row-sum
+    invariant to machine precision.
     Entries in ``(0, zero_threshold]`` are treated as structural zeros.
     """
     P = np.array(matrix, dtype=float)
@@ -150,6 +151,10 @@ def build_chain(matrix, states: Sequence[str] | None = None,
         raise DimensionMismatch(f"{len(states)} state labels for a {n}x{n} matrix")
     if len(set(states)) != n:
         raise DimensionMismatch("state labels must be unique")
+    if not np.isfinite(P).all():
+        i, j = np.argwhere(~np.isfinite(P))[0]
+        raise NonStochasticRow(
+            f"non-finite entry {float(P[i, j])} at ({states[i]}, {states[j]})")
     if np.any(P < 0):
         i, j = np.argwhere(P < 0)[0]
         raise NegativeEntry(f"negative entry {P[i, j]!r} at ({states[i]}, {states[j]})")
@@ -167,6 +172,8 @@ def build_chain(matrix, states: Sequence[str] | None = None,
         init = np.array(initial, dtype=float)
         if init.shape != (n,):
             raise DimensionMismatch(f"initial vector has shape {init.shape}, expected ({n},)")
+        if not np.isfinite(init).all():
+            raise BadStartVector("initial vector has a non-finite entry")
         if np.any(init < 0):
             raise BadStartVector("initial vector has a negative entry")
         s = init.sum()

@@ -5,10 +5,11 @@ a state-to-block lumping map, an optional initial vector and an options
 object. Probabilities may be JSON numbers or exact fraction strings such as
 "5/6"; fractions avoid decimal rounding before validation.
 
-Report JSON is schema-stable and round-trips through :func:`report_from_json`.
-Infinite split-merge indices serialise as the string "infinity" because JSON
-has no infinity literal. Exit codes: 0 success, 1 validation error, 2
-analysis error.
+Every JSON payload follows one rule: result dataclasses become objects of
+their fields, tuples lists, dict keys strings, and an infinite split-merge
+index the string "infinity" (JSON has no infinity literal). Reports
+round-trip through :func:`report_from_json`. Exit codes: 0 success, 1
+validation error, 2 analysis error.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import entropy as ent
 from . import lumping as lp
@@ -76,13 +78,18 @@ def parse_model(path: str, allow_trivial: bool | None = None) -> tuple[MarkovCha
                        for j, v in enumerate(row)])
     initial = raw.get("initial")
     if initial is not None:
+        if not isinstance(initial, list):
+            raise ParseError(f"{path}: 'initial' must be a list or null")
         initial = [_coerce_probability(v, f"initial[{i}]") for i, v in enumerate(initial)]
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ParseError(f"{path}: 'options' must be an object")
-    exact_zero = bool(options.get("exact_zero_mode", False))
+    for key in ("exact_zero_mode", "allow_trivial_lumping"):
+        if not isinstance(options.get(key, False), bool):
+            raise ParseError(f"{path}: option {key!r} must be true or false")
+    exact_zero = options.get("exact_zero_mode", False)
     if allow_trivial is None:
-        allow_trivial = bool(options.get("allow_trivial_lumping", False))
+        allow_trivial = options.get("allow_trivial_lumping", False)
     lump_map = raw["lumping"]
     if not isinstance(lump_map, dict):
         raise ParseError(f"{path}: 'lumping' must be an object mapping state to block")
@@ -138,7 +145,13 @@ class AnalysisReport:
 
 def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
                  config: AnalysisConfig = AnalysisConfig()) -> AnalysisReport:
-    """Run the full verdict battery; deterministic for a fixed config."""
+    """Run the full verdict battery; deterministic for a fixed config. The
+    Blackwell estimate needs steps and seed together, or neither."""
+    if config.blackwell_steps is None:
+        if config.blackwell_seed is not None or config.blackwell_burn_in is not None:
+            raise ValidationError("a Blackwell seed or burn-in needs blackwell_steps")
+    elif config.blackwell_seed is None:
+        raise ValidationError("blackwell_steps needs a blackwell_seed")
     smi = lp.split_merge_index(chain, lumping)
     se = lp.check_single_entry(chain, lumping)
     sfs = {k: lp.check_sfs(chain, lumping, k).holds
@@ -159,7 +172,7 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
                                               config.max_horizon, config.max_blocks)
                        for n in config.horizons)
     blackwell = None
-    if config.blackwell_steps is not None and config.blackwell_seed is not None:
+    if config.blackwell_steps is not None:
         blackwell = ent.blackwell_entropy_estimate(
             chain, lumping, config.blackwell_steps,
             config.blackwell_burn_in, config.blackwell_seed)
@@ -175,75 +188,43 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
         blackwell=blackwell)
 
 
-def _kappa_to_json(kappa: float):
-    return "infinity" if math.isinf(kappa) else int(kappa)
+def _to_json(obj):
+    """The JSON value of a result: dataclasses as objects of their fields,
+    tuples as lists, dict keys as strings, +inf as "infinity"."""
+    if is_dataclass(obj):
+        return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_json(v) for v in obj]
+    if isinstance(obj, float) and obj == math.inf:
+        return "infinity"
+    return obj
 
 
-def _kappa_from_json(value) -> float:
-    return math.inf if value == "infinity" else float(int(value))
-
-
-def _witness_to_dict(w: lp.SplitMergeWitness) -> dict:
-    return {"kappa": w.kappa, "check_state": w.check_state, "hat_state": w.hat_state,
-            "lumped_word": list(w.lumped_word),
-            "path_a": list(w.path_a), "path_b": list(w.path_b)}
-
-
-def _witness_from_dict(d: dict) -> lp.SplitMergeWitness:
-    return lp.SplitMergeWitness(kappa=int(d["kappa"]), check_state=d["check_state"],
-                                hat_state=d["hat_state"],
-                                lumped_word=tuple(d["lumped_word"]),
-                                path_a=tuple(d["path_a"]), path_b=tuple(d["path_b"]))
-
-
-def _loss_to_dict(b: lp.LossBound) -> dict:
-    return {"witness": _witness_to_dict(b.witness), "loss_entropy": b.loss_entropy,
-            "alpha": b.alpha, "rate_lower_bound": b.rate_lower_bound,
-            "growth_constant": b.growth_constant}
-
-
-def _loss_from_dict(d: dict) -> lp.LossBound:
-    return lp.LossBound(witness=_witness_from_dict(d["witness"]),
-                        loss_entropy=d["loss_entropy"], alpha=d["alpha"],
-                        rate_lower_bound=d["rate_lower_bound"],
-                        growth_constant=d["growth_constant"])
+def _from_json(tp, value):
+    """Inverse of :func:`_to_json` for a value of annotated type ``tp``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType):  # X | None
+        return None if value is None else _from_json(args[0], value)
+    if origin is dict:
+        return {args[0](k): _from_json(args[1], v) for k, v in value.items()}
+    if origin is tuple:
+        return tuple(_from_json(args[0], v) for v in value)
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return tp(**{f.name: _from_json(hints[f.name], value[f.name]) for f in fields(tp)})
+    if tp is float and value == "infinity":
+        return math.inf
+    return value
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kappa": _kappa_to_json(report.kappa),
-        "se": report.se,
-        "sfs": {str(k): v for k, v in report.sfs.items()},
-        "strong": {str(k): v for k, v in report.strong.items()},
-        "weak": {str(k): {"verdict": v.verdict, "horizon": v.horizon}
-                 for k, v in report.weak.items()},
-        "chain_rate": report.chain_rate,
-        "bounds": [{"horizon": b.horizon, "lower": b.lower, "upper": b.upper}
-                   for b in report.bounds],
-        "loss_bound": None if report.loss_bound is None else _loss_to_dict(report.loss_bound),
-        "blackwell": None if report.blackwell is None else {
-            "estimate": report.blackwell.estimate,
-            "stderr": report.blackwell.stderr,
-            "caveat": report.blackwell.caveat},
-    }
+    return {"schema_version": SCHEMA_VERSION, **_to_json(report)}
 
 
 def report_from_dict(d: dict) -> AnalysisReport:
-    return AnalysisReport(
-        kappa=_kappa_from_json(d["kappa"]),
-        se=d["se"],
-        sfs={int(k): v for k, v in d["sfs"].items()},
-        strong={int(k): v for k, v in d["strong"].items()},
-        weak={int(k): lp.WeakHorizonVerdict(verdict=v["verdict"], horizon=v["horizon"])
-              for k, v in d["weak"].items()},
-        chain_rate=d["chain_rate"],
-        bounds=tuple(ent.EntropyBounds(horizon=b["horizon"], lower=b["lower"],
-                                       upper=b["upper"]) for b in d["bounds"]),
-        loss_bound=None if d["loss_bound"] is None else _loss_from_dict(d["loss_bound"]),
-        blackwell=None if d["blackwell"] is None else ent.BlackwellEstimate(
-            estimate=d["blackwell"]["estimate"], stderr=d["blackwell"]["stderr"],
-            caveat=d["blackwell"]["caveat"]))
+    return _from_json(AnalysisReport, d)
 
 
 def report_from_json(text: str) -> AnalysisReport:
@@ -254,43 +235,57 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _kappa_line(kappa: float) -> str:
+    return f"split-merge index: {'infinity' if math.isinf(kappa) else int(kappa)}"
+
+
+def _witness_text(w: lp.SplitMergeWitness) -> str:
+    return (f"{w.check_state} > {'-'.join(w.path_a)} > {w.hat_state}"
+            f"  vs  {w.check_state} > {'-'.join(w.path_b)} > {w.hat_state}")
+
+
+def _weak_line(k: int, v: lp.WeakHorizonVerdict) -> str:
+    return (f"weakly {k}-lumpable: {_yes(v.verdict)} up to horizon {v.horizon} "
+            f"({_WEAK_CAVEAT})")
+
+
+def _bounds_text(b: ent.EntropyBounds) -> str:
+    return f"lumped rate bounds n={b.horizon}: [{b.lower:.6f}, {b.upper:.6f}] bits/step"
+
+
+def _loss_line(lb: lp.LossBound | None, growth: bool) -> str:
+    if lb is None:
+        return "entropy loss bound: none (no split-merge witness)"
+    tail = f", growth constant {lb.growth_constant:.6g}" if growth else ""
+    return (f"entropy loss bound: {lb.rate_lower_bound:.6g} bits/step "
+            f"(window entropy {lb.loss_entropy:.6g}, alpha {lb.alpha:.6g}{tail})")
+
+
+def _blackwell_line(bw: ent.BlackwellEstimate) -> str:
+    return f"blackwell estimate: {bw.estimate:.6f} +/- {bw.stderr:.6f} bits/step ({bw.caveat})"
+
+
 def format_report(report: AnalysisReport, format: str = "human") -> str:
     """Render a report. JSON mode round-trips; human mode spells out the
     horizon qualification of weak verdicts."""
     if format == "json":
         return _dump_json(report_to_dict(report))
-    lines = []
-    kappa = "infinity" if math.isinf(report.kappa) else str(int(report.kappa))
-    lines.append(f"split-merge index: {kappa}")
-    lines.append(f"single entry: {'yes' if report.se else 'no'}")
-    for k in sorted(report.sfs):
-        lines.append(f"single forward {k}-sequence: {'yes' if report.sfs[k] else 'no'}")
-    for k in sorted(report.strong):
-        lines.append(f"strongly {k}-lumpable: {'yes' if report.strong[k] else 'no'}")
-    for k in sorted(report.weak):
-        v = report.weak[k]
-        word = "yes" if v.verdict else "no"
-        lines.append(f"weakly {k}-lumpable: {word} up to horizon {v.horizon} "
-                     f"({_WEAK_CAVEAT})")
+    lines = [_kappa_line(report.kappa), f"single entry: {_yes(report.se)}"]
+    lines += [f"single forward {k}-sequence: {_yes(report.sfs[k])}" for k in sorted(report.sfs)]
+    lines += [f"strongly {k}-lumpable: {_yes(report.strong[k])}" for k in sorted(report.strong)]
+    lines += [_weak_line(k, report.weak[k]) for k in sorted(report.weak)]
     lines.append(f"chain entropy rate: {report.chain_rate:.6f} bits/step")
-    for b in report.bounds:
-        lines.append(f"lumped rate bounds n={b.horizon}: "
-                     f"[{b.lower:.6f}, {b.upper:.6f}] bits/step")
-    if report.loss_bound is None:
-        lines.append("entropy loss bound: none (no split-merge witness)")
-    else:
-        lb = report.loss_bound
-        lines.append(f"entropy loss bound: {lb.rate_lower_bound:.6g} bits/step "
-                     f"(window entropy {lb.loss_entropy:.6g}, alpha {lb.alpha:.6g}, "
-                     f"growth constant {lb.growth_constant:.6g})")
-        w = lb.witness
-        lines.append(f"  witness: {w.check_state} > {'-'.join(w.path_a)} > {w.hat_state}"
-                     f"  vs  {w.check_state} > {'-'.join(w.path_b)} > {w.hat_state}"
-                     f"  over blocks {'-'.join(w.lumped_word)}")
+    lines += [_bounds_text(b) for b in report.bounds]
+    lines.append(_loss_line(report.loss_bound, growth=True))
+    if report.loss_bound is not None:
+        w = report.loss_bound.witness
+        lines.append(f"  witness: {_witness_text(w)}  over blocks {'-'.join(w.lumped_word)}")
     if report.blackwell is not None:
-        bw = report.blackwell
-        lines.append(f"blackwell estimate: {bw.estimate:.6f} +/- {bw.stderr:.6f} "
-                     f"bits/step ({bw.caveat})")
+        lines.append(_blackwell_line(report.blackwell))
     return "\n".join(lines) + "\n"
 
 
@@ -299,7 +294,7 @@ def format_report(report: AnalysisReport, format: str = "human") -> str:
 
 
 def _quote(label: str) -> str:
-    return '"' + label.replace('"', '\\"') + '"'
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(chain: MarkovChain, lumping: lp.Lumping) -> str:
@@ -389,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, human: str, payload) -> None:
     if args.format == "json":
-        print(_dump_json(payload))
+        print(_dump_json(_to_json(payload)))
     else:
         sys.stdout.write(human)
 
@@ -406,112 +401,70 @@ def _cmd(args) -> None:
             blackwell_burn_in=args.blackwell_burn_in,
             blackwell_seed=args.seed)
         report = run_analysis(chain, lumping, config)
-        sys.stdout.write(format_report(report, args.format)
-                         if args.format == "human"
-                         else format_report(report, "json") + "\n")
+        _emit(args, format_report(report), report_to_dict(report))
     elif args.command == "kappa":
         res = lp.split_merge_index(chain, lumping)
-        kappa = "infinity" if math.isinf(res.kappa) else int(res.kappa)
-        human = f"split-merge index: {kappa}\n"
+        human = _kappa_line(res.kappa) + "\n"
         if res.witness is not None:
-            w = res.witness
-            human += (f"witness: {w.check_state} > {'-'.join(w.path_a)} > {w.hat_state}"
-                      f"  vs  {w.check_state} > {'-'.join(w.path_b)} > {w.hat_state}\n")
-        _emit(args, human, {"kappa": kappa,
-                            "witness": None if res.witness is None
-                            else _witness_to_dict(res.witness)})
+            human += f"witness: {_witness_text(res.witness)}\n"
+        _emit(args, human, res)
     elif args.command == "check-se":
         res = lp.check_single_entry(chain, lumping)
-        human = f"single entry: {'yes' if res.holds else 'no'}\n"
+        human = f"single entry: {_yes(res.holds)}\n"
         if res.violation is not None:
             v = res.violation
             human += (f"violation: state {v.state} enters block {v.block} at both "
                       f"{v.successor_a} and {v.successor_b}\n")
-        _emit(args, human, {"holds": res.holds,
-                            "violation": None if res.violation is None else {
-                                "state": res.violation.state,
-                                "block": res.violation.block,
-                                "successor_a": res.violation.successor_a,
-                                "successor_b": res.violation.successor_b}})
+        _emit(args, human, res)
     elif args.command == "check-sfs":
         res = lp.check_sfs(chain, lumping, args.k)
-        human = f"single forward {args.k}-sequence: {'yes' if res.holds else 'no'}\n"
-        payload: dict[str, Any] = {"k": args.k, "holds": res.holds, "violation": None}
+        human = f"single forward {args.k}-sequence: {_yes(res.holds)}\n"
         if res.violation is not None:
             v = res.violation
-            payload["violation"] = {
-                "block_word": list(v.block_word), "start_block": v.start_block,
-                "start_a": v.start_a, "path_a": list(v.path_a),
-                "start_b": v.start_b, "path_b": list(v.path_b)}
             human += (f"violation: word {'-'.join(v.block_word)} from block "
                       f"{v.start_block} admits {'-'.join(v.path_a)} (from {v.start_a}) "
                       f"and {'-'.join(v.path_b)} (from {v.start_b})\n")
-        _emit(args, human, payload)
+        _emit(args, human, {"k": args.k, "holds": res.holds, "violation": res.violation})
     elif args.command == "check-strong":
         res = lp.check_strong_lumpable(chain, lumping, args.k, args.tol)
-        human = f"strongly {args.k}-lumpable: {'yes' if res.strong else 'no'}\n"
-        human += (f"rate bounds at n={args.k}: [{res.rate_bound_lower:.6f}, "
-                  f"{res.rate_bound_upper:.6f}] bits/step\n")
+        human = (f"strongly {args.k}-lumpable: {_yes(res.strong)}\n"
+                 f"rate bounds at n={args.k}: [{res.rate_bound_lower:.6f}, "
+                 f"{res.rate_bound_upper:.6f}] bits/step\n")
         _emit(args, human, {"k": args.k, "strong": res.strong,
                             "rate_bound_lower": res.rate_bound_lower,
                             "rate_bound_upper": res.rate_bound_upper,
-                            "witness": None if res.witness is None else {
-                                "conditioning": list(res.witness.conditioning),
-                                "symbol": res.witness.symbol,
-                                "prob_a": res.witness.prob_a,
-                                "prob_b": res.witness.prob_b}})
+                            "witness": res.witness})
     elif args.command == "check-weak":
         res = lp.check_weak_lumpable(chain, lumping, args.k, args.horizon, args.tol)
         v = res.weak_up_to_horizon
-        human = (f"weakly {args.k}-lumpable: {'yes' if v.verdict else 'no'} "
-                 f"up to horizon {v.horizon} ({_WEAK_CAVEAT})\n")
-        _emit(args, human, {"k": args.k, "verdict": v.verdict, "horizon": v.horizon,
-                            "caveat": _WEAK_CAVEAT,
-                            "conditional_entropies": list(res.conditional_entropies),
-                            "witness": None if res.witness is None else {
-                                "conditioning": list(res.witness.conditioning),
-                                "symbol": res.witness.symbol,
-                                "prob_a": res.witness.prob_a,
-                                "prob_b": res.witness.prob_b}})
+        _emit(args, _weak_line(args.k, v) + "\n",
+              {"k": args.k, **_to_json(v), "caveat": _WEAK_CAVEAT,
+               "conditional_entropies": res.conditional_entropies, "witness": res.witness})
     elif args.command == "bounds":
         with ent.lattice(chain, lumping, args.n, args.n,
                          ent.DEFAULT_MAX_HORIZON, ent.DEFAULT_MAX_BLOCKS):
             b = ent.lumped_rate_bounds(chain, lumping, args.n)
             loss = ent.conditional_entropy_rate_estimate(chain, lumping, args.n)
-        human = (f"lumped rate bounds n={args.n}: [{b.lower:.6f}, {b.upper:.6f}] "
-                 f"bits/step; loss in [{loss.loss_lower:.6f}, {loss.loss_upper:.6f}]\n")
-        _emit(args, human, {"horizon": b.horizon, "lower": b.lower, "upper": b.upper,
-                            "loss_lower": loss.loss_lower, "loss_upper": loss.loss_upper})
+        human = (f"{_bounds_text(b)}; loss in "
+                 f"[{loss.loss_lower:.6f}, {loss.loss_upper:.6f}]\n")
+        _emit(args, human, {**_to_json(b), **_to_json(loss)})
     elif args.command == "loss-bound":
         lb = lp.entropy_loss_bound(chain, lumping)
-        if lb is None:
-            _emit(args, "entropy loss bound: none (no split-merge witness)\n",
-                  {"loss_bound": None})
-        else:
-            human = (f"entropy loss bound: {lb.rate_lower_bound:.6g} bits/step "
-                     f"(window entropy {lb.loss_entropy:.6g}, alpha {lb.alpha:.6g})\n")
-            _emit(args, human, {"loss_bound": _loss_to_dict(lb)})
+        _emit(args, _loss_line(lb, growth=False) + "\n", {"loss_bound": lb})
     elif args.command == "blackwell":
         bw = ent.blackwell_entropy_estimate(chain, lumping, args.steps,
                                             args.burn_in, args.seed)
-        human = (f"blackwell estimate: {bw.estimate:.6f} +/- {bw.stderr:.6f} "
-                 f"bits/step ({bw.caveat})\n")
-        _emit(args, human, {"estimate": bw.estimate, "stderr": bw.stderr,
-                            "caveat": bw.caveat})
+        _emit(args, _blackwell_line(bw) + "\n", bw)
     elif args.command == "simulate":
         rows = sim.empirical_growth(chain, lumping, args.length, args.seeds)
         human = "".join(
             f"n={r.n}: max count {r.max_count}, geometric mean growth "
             f"{r.geo_mean_growth:.6f}\n" for r in rows)
-        _emit(args, human, {"checkpoints": [
-            {"n": r.n, "counts": list(r.counts), "max_count": r.max_count,
-             "geo_mean_growth": r.geo_mean_growth} for r in rows]})
+        _emit(args, human, {"checkpoints": rows})
     elif args.command == "export-dot":
         sys.stdout.write(export_dot(chain, lumping))
     elif args.command == "reverse":
-        rev = reverse_chain(chain)
-        payload = chain_to_model_dict(rev, lumping)
-        print(_dump_json(payload))
+        print(_dump_json(chain_to_model_dict(reverse_chain(chain), lumping)))
     else:  # pragma: no cover
         raise AssertionError(f"unhandled command {args.command!r}")
 

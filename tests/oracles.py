@@ -541,3 +541,263 @@ def strong_verdict_by_start(chain, lumping, k, tol=1e-9):
                               witness=witness,
                               rate_bound_lower=lower,
                               rate_bound_upper=upper)
+
+
+# ---------------------------------------------------------------------------
+# CLI output as first written: hand-built payloads and codec, kept verbatim
+
+
+def _kappa_to_json_v1(kappa):
+    return "infinity" if math.isinf(kappa) else int(kappa)
+
+
+def _witness_to_dict_v1(w):
+    return {"kappa": w.kappa, "check_state": w.check_state, "hat_state": w.hat_state,
+            "lumped_word": list(w.lumped_word),
+            "path_a": list(w.path_a), "path_b": list(w.path_b)}
+
+
+def _loss_to_dict_v1(b):
+    return {"witness": _witness_to_dict_v1(b.witness), "loss_entropy": b.loss_entropy,
+            "alpha": b.alpha, "rate_lower_bound": b.rate_lower_bound,
+            "growth_constant": b.growth_constant}
+
+
+def _report_to_dict_v1(report):
+    return {
+        "schema_version": "1",
+        "kappa": _kappa_to_json_v1(report.kappa),
+        "se": report.se,
+        "sfs": {str(k): v for k, v in report.sfs.items()},
+        "strong": {str(k): v for k, v in report.strong.items()},
+        "weak": {str(k): {"verdict": v.verdict, "horizon": v.horizon}
+                 for k, v in report.weak.items()},
+        "chain_rate": report.chain_rate,
+        "bounds": [{"horizon": b.horizon, "lower": b.lower, "upper": b.upper}
+                   for b in report.bounds],
+        "loss_bound": None if report.loss_bound is None else _loss_to_dict_v1(report.loss_bound),
+        "blackwell": None if report.blackwell is None else {
+            "estimate": report.blackwell.estimate,
+            "stderr": report.blackwell.stderr,
+            "caveat": report.blackwell.caveat},
+    }
+
+
+def _dump_json_v1(obj):
+    import json
+
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_WEAK_CAVEAT_V1 = "no claim beyond the horizon"
+
+
+def _format_report_v1(report, format="human"):
+    if format == "json":
+        return _dump_json_v1(_report_to_dict_v1(report))
+    lines = []
+    kappa = "infinity" if math.isinf(report.kappa) else str(int(report.kappa))
+    lines.append(f"split-merge index: {kappa}")
+    lines.append(f"single entry: {'yes' if report.se else 'no'}")
+    for k in sorted(report.sfs):
+        lines.append(f"single forward {k}-sequence: {'yes' if report.sfs[k] else 'no'}")
+    for k in sorted(report.strong):
+        lines.append(f"strongly {k}-lumpable: {'yes' if report.strong[k] else 'no'}")
+    for k in sorted(report.weak):
+        v = report.weak[k]
+        word = "yes" if v.verdict else "no"
+        lines.append(f"weakly {k}-lumpable: {word} up to horizon {v.horizon} "
+                     f"({_WEAK_CAVEAT_V1})")
+    lines.append(f"chain entropy rate: {report.chain_rate:.6f} bits/step")
+    for b in report.bounds:
+        lines.append(f"lumped rate bounds n={b.horizon}: "
+                     f"[{b.lower:.6f}, {b.upper:.6f}] bits/step")
+    if report.loss_bound is None:
+        lines.append("entropy loss bound: none (no split-merge witness)")
+    else:
+        lb = report.loss_bound
+        lines.append(f"entropy loss bound: {lb.rate_lower_bound:.6g} bits/step "
+                     f"(window entropy {lb.loss_entropy:.6g}, alpha {lb.alpha:.6g}, "
+                     f"growth constant {lb.growth_constant:.6g})")
+        w = lb.witness
+        lines.append(f"  witness: {w.check_state} > {'-'.join(w.path_a)} > {w.hat_state}"
+                     f"  vs  {w.check_state} > {'-'.join(w.path_b)} > {w.hat_state}"
+                     f"  over blocks {'-'.join(w.lumped_word)}")
+    if report.blackwell is not None:
+        bw = report.blackwell
+        lines.append(f"blackwell estimate: {bw.estimate:.6f} +/- {bw.stderr:.6f} "
+                     f"bits/step ({bw.caveat})")
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_v1(args):
+    import sys
+
+    from lumpchain import entropy as ent
+    from lumpchain import lumping as lp
+    from lumpchain import simulate as sim
+    from lumpchain.chain import reverse_chain
+    from lumpchain.cli import (AnalysisConfig, chain_to_model_dict, export_dot,
+                               parse_model, run_analysis)
+
+    def _emit(args, human, payload):
+        if args.format == "json":
+            print(_dump_json_v1(payload))
+        else:
+            sys.stdout.write(human)
+
+    chain, lumping = parse_model(
+        args.model, allow_trivial=True if args.allow_trivial_lumping else None)
+
+    if args.command == "analyze":
+        config = AnalysisConfig(
+            horizons=tuple(args.horizons), k_range=tuple(args.k_range),
+            weak_horizon=args.weak_horizon, tol=args.tol,
+            blackwell_steps=args.blackwell_steps,
+            blackwell_burn_in=args.blackwell_burn_in,
+            blackwell_seed=args.seed)
+        report = run_analysis(chain, lumping, config)
+        sys.stdout.write(_format_report_v1(report, args.format)
+                         if args.format == "human"
+                         else _format_report_v1(report, "json") + "\n")
+    elif args.command == "kappa":
+        res = lp.split_merge_index(chain, lumping)
+        kappa = "infinity" if math.isinf(res.kappa) else int(res.kappa)
+        human = f"split-merge index: {kappa}\n"
+        if res.witness is not None:
+            w = res.witness
+            human += (f"witness: {w.check_state} > {'-'.join(w.path_a)} > {w.hat_state}"
+                      f"  vs  {w.check_state} > {'-'.join(w.path_b)} > {w.hat_state}\n")
+        _emit(args, human, {"kappa": kappa,
+                            "witness": None if res.witness is None
+                            else _witness_to_dict_v1(res.witness)})
+    elif args.command == "check-se":
+        res = lp.check_single_entry(chain, lumping)
+        human = f"single entry: {'yes' if res.holds else 'no'}\n"
+        if res.violation is not None:
+            v = res.violation
+            human += (f"violation: state {v.state} enters block {v.block} at both "
+                      f"{v.successor_a} and {v.successor_b}\n")
+        _emit(args, human, {"holds": res.holds,
+                            "violation": None if res.violation is None else {
+                                "state": res.violation.state,
+                                "block": res.violation.block,
+                                "successor_a": res.violation.successor_a,
+                                "successor_b": res.violation.successor_b}})
+    elif args.command == "check-sfs":
+        res = lp.check_sfs(chain, lumping, args.k)
+        human = f"single forward {args.k}-sequence: {'yes' if res.holds else 'no'}\n"
+        payload = {"k": args.k, "holds": res.holds, "violation": None}
+        if res.violation is not None:
+            v = res.violation
+            payload["violation"] = {
+                "block_word": list(v.block_word), "start_block": v.start_block,
+                "start_a": v.start_a, "path_a": list(v.path_a),
+                "start_b": v.start_b, "path_b": list(v.path_b)}
+            human += (f"violation: word {'-'.join(v.block_word)} from block "
+                      f"{v.start_block} admits {'-'.join(v.path_a)} (from {v.start_a}) "
+                      f"and {'-'.join(v.path_b)} (from {v.start_b})\n")
+        _emit(args, human, payload)
+    elif args.command == "check-strong":
+        res = lp.check_strong_lumpable(chain, lumping, args.k, args.tol)
+        human = f"strongly {args.k}-lumpable: {'yes' if res.strong else 'no'}\n"
+        human += (f"rate bounds at n={args.k}: [{res.rate_bound_lower:.6f}, "
+                  f"{res.rate_bound_upper:.6f}] bits/step\n")
+        _emit(args, human, {"k": args.k, "strong": res.strong,
+                            "rate_bound_lower": res.rate_bound_lower,
+                            "rate_bound_upper": res.rate_bound_upper,
+                            "witness": None if res.witness is None else {
+                                "conditioning": list(res.witness.conditioning),
+                                "symbol": res.witness.symbol,
+                                "prob_a": res.witness.prob_a,
+                                "prob_b": res.witness.prob_b}})
+    elif args.command == "check-weak":
+        res = lp.check_weak_lumpable(chain, lumping, args.k, args.horizon, args.tol)
+        v = res.weak_up_to_horizon
+        human = (f"weakly {args.k}-lumpable: {'yes' if v.verdict else 'no'} "
+                 f"up to horizon {v.horizon} ({_WEAK_CAVEAT_V1})\n")
+        _emit(args, human, {"k": args.k, "verdict": v.verdict, "horizon": v.horizon,
+                            "caveat": _WEAK_CAVEAT_V1,
+                            "conditional_entropies": list(res.conditional_entropies),
+                            "witness": None if res.witness is None else {
+                                "conditioning": list(res.witness.conditioning),
+                                "symbol": res.witness.symbol,
+                                "prob_a": res.witness.prob_a,
+                                "prob_b": res.witness.prob_b}})
+    elif args.command == "bounds":
+        with ent.lattice(chain, lumping, args.n, args.n,
+                         ent.DEFAULT_MAX_HORIZON, ent.DEFAULT_MAX_BLOCKS):
+            b = ent.lumped_rate_bounds(chain, lumping, args.n)
+            loss = ent.conditional_entropy_rate_estimate(chain, lumping, args.n)
+        human = (f"lumped rate bounds n={args.n}: [{b.lower:.6f}, {b.upper:.6f}] "
+                 f"bits/step; loss in [{loss.loss_lower:.6f}, {loss.loss_upper:.6f}]\n")
+        _emit(args, human, {"horizon": b.horizon, "lower": b.lower, "upper": b.upper,
+                            "loss_lower": loss.loss_lower, "loss_upper": loss.loss_upper})
+    elif args.command == "loss-bound":
+        lb = lp.entropy_loss_bound(chain, lumping)
+        if lb is None:
+            _emit(args, "entropy loss bound: none (no split-merge witness)\n",
+                  {"loss_bound": None})
+        else:
+            human = (f"entropy loss bound: {lb.rate_lower_bound:.6g} bits/step "
+                     f"(window entropy {lb.loss_entropy:.6g}, alpha {lb.alpha:.6g})\n")
+            _emit(args, human, {"loss_bound": _loss_to_dict_v1(lb)})
+    elif args.command == "blackwell":
+        bw = ent.blackwell_entropy_estimate(chain, lumping, args.steps,
+                                            args.burn_in, args.seed)
+        human = (f"blackwell estimate: {bw.estimate:.6f} +/- {bw.stderr:.6f} "
+                 f"bits/step ({bw.caveat})\n")
+        _emit(args, human, {"estimate": bw.estimate, "stderr": bw.stderr,
+                            "caveat": bw.caveat})
+    elif args.command == "simulate":
+        rows = sim.empirical_growth(chain, lumping, args.length, args.seeds)
+        human = "".join(
+            f"n={r.n}: max count {r.max_count}, geometric mean growth "
+            f"{r.geo_mean_growth:.6f}\n" for r in rows)
+        _emit(args, human, {"checkpoints": [
+            {"n": r.n, "counts": list(r.counts), "max_count": r.max_count,
+             "geo_mean_growth": r.geo_mean_growth} for r in rows]})
+    elif args.command == "export-dot":
+        sys.stdout.write(export_dot(chain, lumping))
+    elif args.command == "reverse":
+        rev = reverse_chain(chain)
+        payload = chain_to_model_dict(rev, lumping)
+        print(_dump_json_v1(payload))
+    else:  # pragma: no cover
+        raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def capture_cli(entry, argv):
+    """Run ``entry(argv)`` and return (exit code, stdout, stderr)."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entry(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _main_v1(argv):
+    import sys
+
+    from lumpchain.cli import _build_parser
+    from lumpchain.errors import LumpchainError, ValidationError
+
+    args = _build_parser().parse_args(argv)
+    try:
+        _cmd_v1(args)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except LumpchainError as exc:
+        print(f"analysis error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def cli_output_v1(argv):
+    """(exit code, stdout, stderr) of ``lumpchain.cli.main(argv)`` as first
+    written, with every subcommand's payload and human line built by hand.
+    The argument parser, model parser and library calls are the library's."""
+    return capture_cli(_main_v1, argv)

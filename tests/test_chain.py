@@ -45,6 +45,14 @@ def test_build_rejects_negative_entry():
         build_chain([[1.1, -0.1], [0.5, 0.5]], ["u", "v"])
 
 
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf")))
+def test_build_rejects_non_finite_entries(bad):
+    with pytest.raises(NonStochasticRow, match="non-finite"):
+        build_chain([[1.0, 0.0], [bad, 1.0]], ["u", "v"])
+    with pytest.raises(BadStartVector, match="non-finite"):
+        build_chain([[0.5, 0.5], [0.5, 0.5]], ["u", "v"], initial=[bad, 1.0])
+
+
 def test_build_rejects_bad_dimensions():
     with pytest.raises(DimensionMismatch):
         build_chain([[0.5, 0.5]], ["u", "v"])

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from conftest import model_path
+import oracles
+from conftest import MODELS_DIR, model_path
 import lumpchain
 from lumpchain import (
     AnalysisConfig,
@@ -105,6 +106,47 @@ def test_parse_model_bad_fraction(tmp_path):
     })
     with pytest.raises(ParseError):
         parse_model(path)
+
+
+@pytest.mark.parametrize("field, value, named", (
+    ("initial", 5, "initial"),
+    ("options", {"allow_trivial_lumping": "false"}, "allow_trivial_lumping"),
+    ("options", {"allow_trivial_lumping": 1}, "allow_trivial_lumping"),
+    ("options", {"exact_zero_mode": "true"}, "exact_zero_mode"),
+))
+def test_parse_model_checks_field_types(tmp_path, capsys, field, value, named):
+    payload = {
+        "states": ["u", "v"],
+        "transition_matrix": [[0.5, 0.5], [0.5, 0.5]],
+        "lumping": {"u": "A", "v": "A"},
+        field: value,
+    }
+    path = write_model(tmp_path, payload)
+    with pytest.raises(ParseError, match=named):
+        parse_model(path)
+    assert main(["kappa", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("where", ("matrix", "initial"))
+def test_main_rejects_nan_model(tmp_path, capsys, where):
+    payload = {
+        "states": ["u", "v"],
+        "transition_matrix": [[0.5, 0.5], [0.5, 0.5]],
+        "lumping": {"u": "A", "v": "B"},
+        "options": {"allow_trivial_lumping": True},
+    }
+    if where == "matrix":
+        payload["transition_matrix"][1][0] = float("nan")
+    else:
+        payload["initial"] = [float("nan"), 0.5]
+    path = write_model(tmp_path, payload)  # json.dumps writes the NaN literal
+    assert main(["kappa", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "non-finite" in err
 
 
 def test_parse_model_missing_field(tmp_path):
@@ -215,6 +257,15 @@ def test_export_dot_skips_zero_edges():
     dot = export_dot(chain, lumping)
     assert '"1" -> "1"' not in dot
     assert '"3" -> "1"' in dot
+
+
+def test_export_dot_escapes_backslash_before_quote():
+    chain = build_chain([[0.0, 1.0], [1.0, 0.0]], ["a\\", 'b"'])
+    lumping = build_lumping(chain, {"a\\": "A", 'b"': "B"}, allow_trivial=True)
+    dot = export_dot(chain, lumping)
+    assert '    "a\\\\";' in dot
+    assert '    "b\\"";' in dot
+    assert '  "a\\\\" -> "b\\"" [label="1"];' in dot
 
 
 def test_export_dot_byte_stable():
@@ -359,12 +410,49 @@ def test_main_exit_codes(tmp_path, capsys):
     ["check-weak", "--k", "1", "--horizon", "2", "--tol", "nan"],
     ["check-weak", "--k", "1", "--horizon", "2", "--tol=-inf"],
     ["analyze", "--tol", "nan"],
+    ["analyze", "--blackwell-steps", "600"],
+    ["analyze", "--seed", "3"],
+    ["analyze", "--blackwell-burn-in", "10"],
+    ["analyze", "--seed", "3", "--blackwell-burn-in", "10"],
 ), ids=("blackwell-too-few-steps", "blackwell-burn-in-eats-all", "bounds-n0",
         "check-weak-horizon-below-k", "simulate-length0", "check-strong-tol-nan",
         "check-strong-tol-inf", "check-strong-tol-negative", "check-weak-tol-nan",
-        "check-weak-tol-minus-inf", "analyze-tol-nan"))
+        "check-weak-tol-minus-inf", "analyze-tol-nan", "analyze-steps-without-seed",
+        "analyze-seed-without-steps", "analyze-burn-in-without-steps",
+        "analyze-seed-and-burn-in-without-steps"))
 def test_bad_arguments_exit_with_one_error_line(argv, capsys):
     assert main([argv[0], model_path("lossy_strong2"), *argv[1:]]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+MODEL_NAMES = sorted(p.stem for p in MODELS_DIR.glob("*.json"))
+
+ARGUMENT_SETS = (
+    ["analyze"],
+    ["analyze", "--blackwell-steps", "600", "--seed", "3"],
+    ["kappa"],
+    ["check-se"],
+    ["check-sfs", "--k", "2"],
+    ["check-sfs", "--k", "3"],
+    ["check-strong", "--k", "1"],
+    ["check-strong", "--k", "2"],
+    ["check-weak", "--k", "1", "--horizon", "4"],
+    ["check-weak", "--k", "2", "--horizon", "5"],
+    ["bounds", "--n", "3"],
+    ["loss-bound"],
+    ["blackwell", "--steps", "800", "--seed", "1"],
+    ["simulate", "--length", "120", "--seeds", "0", "2"],
+    ["export-dot"],
+    ["reverse"],
+)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("args", ARGUMENT_SETS, ids=lambda a: "-".join(a[:3]))
+def test_main_output_is_byte_identical_to_hand_written_payloads(name, args):
+    for fmt in ("human", "json"):
+        argv = [args[0], model_path(name), *args[1:], "--format", fmt,
+                "--allow-trivial-lumping"]
+        assert oracles.capture_cli(main, argv) == oracles.cli_output_v1(argv), fmt

@@ -2,7 +2,7 @@
 
 Validation errors cover malformed inputs (matrices, distributions, lumping
 maps, model files). Analysis errors cover well-formed inputs that an
-operation cannot handle (reducible chains, blown enumeration budgets). The
+operation cannot handle (reducible chains, work beyond a size budget). The
 CLI maps the two groups to exit codes 1 and 2.
 """
 
@@ -85,7 +85,8 @@ class StateSpaceTooLarge(AnalysisError):
 
 class HorizonTooLarge(AnalysisError):
     """Requested horizon or block count exceeds the block-word lattice budget,
-    or a word or path count exceeds its enumeration budget."""
+    a word exceeds its length cap, or the SFS pair tables exceed their cell
+    budget; the message names the predicted size."""
 
 
 class PreconditionViolated(AnalysisError):

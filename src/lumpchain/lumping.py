@@ -19,6 +19,12 @@ block word at once with semiring matrix products over the word's transition
 blocks, O(words * rows * sum |B_i| |B_{i+1}|) for ``rows`` check states per
 word, and enumerates the paths of only the windows that score within a
 rounding margin of the best.
+
+The single forward k-sequence check builds backward tables over the same
+pairs, diagonal included, with two ``(n x n)`` products per level, and a
+greedy walk over them rebuilds the first violating state sequence: O(k * n^3)
+time, and no verdict enumerates state paths. The single-entry check is one
+``(n x blocks)`` count product.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from .errors import (
 
 DEFAULT_PROB_TOL = 1e-9
 _WITNESS_ENUM_CAP = 10_000
-_SFS_PATH_BUDGET = 1_000_000
+_SFS_TABLE_BUDGET = 1 << 22  # SFS table cells over all levels: (k-1) * n^2 bytes
 _MASK_CHUNK = 1024  # pair paths per window-mask product: O(n * chunk) memory
 
 
@@ -93,10 +99,6 @@ class Lumping:
 
     def preimage(self, label: str) -> tuple[str, ...]:
         return tuple(self.states[i] for i in self.member_indices[self.block_index(label)])
-
-    def image_word(self, state_word: Iterable[int]) -> tuple[int, ...]:
-        """Block-index word of a state-index word."""
-        return tuple(int(self.of_state[x]) for x in state_word)
 
     def __repr__(self) -> str:
         return f"Lumping(blocks={self.blocks!r})"
@@ -414,69 +416,134 @@ def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:
 
 
 def check_single_entry(chain: MarkovChain, lumping: Lumping) -> SingleEntryResult:
-    """At most one edge from any state into any block."""
-    adj = chain.adjacency
-    for x in range(chain.n):
-        for b, members in enumerate(lumping.member_indices):
-            hits = members[adj[x, members]]
-            if hits.size > 1:
-                return SingleEntryResult(False, SingleEntryViolation(
-                    state=chain.states[x],
-                    block=lumping.blocks[b],
-                    successor_a=chain.states[int(hits[0])],
-                    successor_b=chain.states[int(hits[1])]))
-    return SingleEntryResult(True, None)
+    """At most one edge from any state into any block.
+
+    One ``(states x blocks)`` product counts the edges from each state into
+    each block; the violation is the first (state, block) in row-major order
+    with a count above one, with its two lowest-index successors there.
+    """
+    over = chain.adjacency @ lumping.indicator > 1
+    if not over.any():
+        return SingleEntryResult(True, None)
+    x, b = divmod(int(np.argmax(over)), lumping.n_blocks)
+    hits = np.flatnonzero(chain.adjacency[x] & (lumping.of_state == b))
+    return SingleEntryResult(False, SingleEntryViolation(
+        state=chain.states[x],
+        block=lumping.blocks[b],
+        successor_a=chain.states[int(hits[0])],
+        successor_b=chain.states[int(hits[1])]))
 
 
-def check_sfs(chain: MarkovChain, lumping: Lumping, k: int,
-              max_paths: int = _SFS_PATH_BUDGET) -> SfsResult:
+def _sfs_tables(adj: np.ndarray, same: np.ndarray, levels: int):
+    """Backward completion tables over same-block state pairs, indexed by the
+    number of steps left.
+
+    ``pairs[r]`` marks the same-block pairs (u, v), u = v included, from which
+    two state paths of r more steps share one block word; ``forks[r]`` marks
+    the states u from which two different such paths leave. Each level costs
+    two ``(n x n)`` products; level 0 needs none.
+    """
+    A = adj.astype(np.float32)  # exact: the first product's counts stay below n + 1
+    pairs, forks = [same], [np.zeros(len(adj), dtype=bool)]
+    for _ in range(levels - 1):
+        AC = A @ pairs[-1]  # (u, y'): successors y of u with (y, y') a pair
+        apart = (AC - A * np.diagonal(pairs[-1])) > 0  # ... with y != y'
+        forks.append((apart & adj).any(axis=1) | (A @ forks[-1] > 0))
+        pairs.append(same & (AC @ A.T > 0))
+    return pairs, forks
+
+
+def check_sfs(chain: MarkovChain, lumping: Lumping, k: int) -> SfsResult:
     """Single forward k-sequence property.
 
     Holds iff for every block word of length k-1 and every start block there
     is at most one realisable preimage path reachable from the start block's
     states. The start states themselves may differ; uniqueness is demanded of
     the path, per word and start block.
+
+    The witness is the first violation in lexicographic state-index order of
+    the sequences ``(x0, y1..y_{k-1})``: the first sequence whose path differs
+    from the path of the first sequence with the same start block and block
+    word, which gives ``start_a`` and ``path_a``. Backward tables over
+    same-block pairs (``_sfs_tables``) say which partial sequences can still
+    be completed into a violation, and a greedy walk takes the smallest
+    successor that can, tracking the earlier sequences that may differ from
+    it: the one that is equal so far, those with a smaller start and the same
+    path, and those already smaller and diverged. Cost: O(k * n^3) at worst,
+    with no matrix product at k = 2; ``(k-1) * n^2`` table cells above
+    ``_SFS_TABLE_BUDGET`` are refused before anything is allocated.
     """
     if k < 2:
         raise KTooSmall("the forward-sequence property needs k >= 2")
-    if chain.n ** k > max_paths:
-        raise HorizonTooLarge(f"{chain.n}^{k} paths exceed the budget {max_paths}")
+    n = chain.n
+    cells = (k - 1) * n * n
+    if cells > _SFS_TABLE_BUDGET:
+        raise HorizonTooLarge(f"SFS tables for k={k} need {k - 1} levels of {n}x{n} "
+                              f"state pairs, {cells} cells over the budget {_SFS_TABLE_BUDGET}")
     adj = chain.adjacency
     of_state = lumping.of_state
-    # (start block, block word) -> first (start state, path) seen
-    first: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
-    budget = max_paths
+    same = of_state[:, None] == of_state[None, :]
+    pairs, forks = _sfs_tables(adj, same, k - 1)
 
-    def walk(x0: int, path: tuple[int, ...]):
-        nonlocal budget
-        if len(path) == k - 1:
-            budget -= 1
-            if budget < 0:
-                raise HorizonTooLarge(f"path enumeration exceeded budget {max_paths}")
-            key = (int(of_state[x0]), tuple(int(of_state[x]) for x in path))
-            prev = first.setdefault(key, (x0, path))
-            if prev[1] != path:
-                return SfsViolation(
-                    block_word=tuple(lumping.blocks[b] for b in key[1]),
-                    start_block=lumping.blocks[key[0]],
-                    start_a=chain.states[prev[0]],
-                    path_a=tuple(chain.states[i] for i in prev[1]),
-                    start_b=chain.states[x0],
-                    path_b=tuple(chain.states[i] for i in path))
-            return None
-        cur = path[-1] if path else x0
-        for y in np.flatnonzero(adj[cur]):
-            bad = walk(x0, path + (int(y),))
-            if bad is not None:
-                return bad
-        return None
+    def first_completable(u, loose, diverged, left):
+        """Position among u's successors of the first one, y, that a
+        violation can pass through with ``left`` steps after it, or None.
 
-    for x0 in range(chain.n):
-        bad = walk(x0, ())
-        if bad is not None:
+        Earlier sequences are tracked as partners of the one being built:
+        the equal one, loose ones (smaller start, same path) and diverged
+        ones; ``loose`` and ``diverged`` hold the states the last two can
+        step to. The equal partner must fork off lower later (``forks``) or
+        step to a lower successor now; a loose partner must step off y and a
+        diverged one anywhere, to a state paired with y (``pairs``).
+        """
+        S = np.flatnonzero(adj[u])
+        partners = loose | diverged
+        for i, y in enumerate(S.tolist()):
+            paired = pairs[left][y]
+            near = paired & partners
+            near[y] = paired[y] and diverged[y]
+            if forks[left][y] or near.any() or paired[S[:i]].any():
+                return S, i
+        return S, None
+
+    none = np.zeros(n, dtype=bool)
+    reached = np.zeros((lumping.n_blocks, n), dtype=bool)  # successors of smaller starts
+    for x0 in range(n):
+        loose = reached[of_state[x0]]
+        S, i = first_completable(x0, loose, none, k - 2)
+        if i is not None:
             break
-    del walk  # a recursive closure is a reference cycle that would hold the chain
-    return SfsResult(order_k=k, holds=bad is None, violation=bad)
+        reached[of_state[x0]] |= adj[x0]
+    else:
+        return SfsResult(order_k=k, holds=True, violation=None)
+    path = [int(S[i])]
+    diverged = none
+    while len(path) < k - 1:
+        y = path[-1]
+        now = loose & same[y]  # partners on y's block after this step, all diverged
+        now[y] = False
+        now |= diverged & same[y]
+        now[S[:i]] |= same[y, S[:i]]
+        loose = adj[y] if loose[y] else none
+        diverged = now @ adj
+        S, i = first_completable(y, loose, diverged, k - 2 - len(path))
+        path.append(int(S[i]))
+
+    # the first sequence with this start block and block word: the smallest
+    # state at every step that can still follow the rest of the word
+    follows = [same[path[-1]]]
+    for y in reversed([x0, *path[:-1]]):
+        follows.append(same[y] & (adj @ follows[-1]))
+    first = [int(np.argmax(follows.pop()))]
+    while follows:
+        first.append(int(np.argmax(adj[first[-1]] & follows.pop())))
+    return SfsResult(order_k=k, holds=False, violation=SfsViolation(
+        block_word=tuple(lumping.blocks[of_state[y]] for y in path),
+        start_block=lumping.blocks[of_state[x0]],
+        start_a=chain.states[first[0]],
+        path_a=tuple(chain.states[i] for i in first[1:]),
+        start_b=chain.states[x0],
+        path_b=tuple(chain.states[i] for i in path)))
 
 
 # ---------------------------------------------------------------------------

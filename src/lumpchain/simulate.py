@@ -98,6 +98,11 @@ def _sample_indices(chain: MarkovChain, length: int, rho: np.ndarray, seed: int)
     return out
 
 
+def _check_seeds(seeds: Sequence[int]) -> None:
+    if len(seeds) == 0:
+        raise ValidationError("at least one seed is needed")
+
+
 def sample_trajectory(chain: MarkovChain, length: int, start_mode="stationary",
                       seed: int = 0) -> Trajectory:
     """Sample a state word of the given length; reproducible for fixed seed."""
@@ -156,7 +161,12 @@ def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,
     Each seed yields one stationary trajectory; its block image is counted at
     every checkpoint not exceeding the trajectory length. The geometric mean
     of the per-word n-th roots summarises the growth at each checkpoint.
+    Seeds must be nonempty and checkpoints at least 1.
     """
+    _check_seeds(seeds)
+    low = [n for n in checkpoints if n < 1]
+    if low:
+        raise ValidationError(f"checkpoints must be >= 1, got {low}")
     rho = np.asarray(chain.stationary, dtype=float)
     words = []
     for seed in sorted(seeds):
@@ -183,8 +193,9 @@ def occurrence_rate_check(chain: MarkovChain, pattern: Sequence[str], length: in
     stationary mass of its first state, divided by the pattern length. The
     pass criterion subtracts three standard errors across seeds plus a
     boundary term of one pattern length; it is a statistical check, not a
-    proof.
+    proof. Seeds must be nonempty.
     """
+    _check_seeds(seeds)
     pattern = tuple(pattern)
     if not pattern:
         raise EmptyPattern("pattern must be nonempty")

@@ -801,3 +801,72 @@ def cli_output_v1(argv):
     written, with every subcommand's payload and human line built by hand.
     The argument parser, model parser and library calls are the library's."""
     return capture_cli(_main_v1, argv)
+
+
+def first_single_entry_violation(chain, lumping):
+    """The single-entry verdict by a loop over every (state, block).
+
+    A frozen copy of the library's original double loop, kept to pin the
+    one-product count: the first (state, block) in row-major order with two
+    edges into the block, and its two lowest-index successors there.
+    """
+    from lumpchain.lumping import SingleEntryResult, SingleEntryViolation
+
+    adj = chain.adjacency
+    for x in range(chain.n):
+        for b, members in enumerate(lumping.member_indices):
+            hits = members[adj[x, members]]
+            if hits.size > 1:
+                return SingleEntryResult(False, SingleEntryViolation(
+                    state=chain.states[x],
+                    block=lumping.blocks[b],
+                    successor_a=chain.states[int(hits[0])],
+                    successor_b=chain.states[int(hits[1])]))
+    return SingleEntryResult(True, None)
+
+
+def first_sfs_violation(chain, lumping, k):
+    """The single forward k-sequence verdict by enumerating every state path.
+
+    A frozen copy of the library's original depth-first walk, without its
+    path budget. It defines the witness: sequences ``(x0, y1..y_{k-1})`` run
+    in lexicographic order of state index, and the violation is the first
+    one whose path differs from the path of the first sequence with the same
+    start block and block word; that first sequence gives ``start_a`` and
+    ``path_a``. Cost: every realisable path, up to n^k.
+    """
+    from lumpchain.errors import KTooSmall
+    from lumpchain.lumping import SfsResult, SfsViolation
+
+    if k < 2:
+        raise KTooSmall("the forward-sequence property needs k >= 2")
+    adj = chain.adjacency
+    of_state = lumping.of_state
+    # (start block, block word) -> first (start state, path) seen
+    first = {}
+
+    def walk(x0, path):
+        if len(path) == k - 1:
+            key = (int(of_state[x0]), tuple(int(of_state[x]) for x in path))
+            prev = first.setdefault(key, (x0, path))
+            if prev[1] != path:
+                return SfsViolation(
+                    block_word=tuple(lumping.blocks[b] for b in key[1]),
+                    start_block=lumping.blocks[key[0]],
+                    start_a=chain.states[prev[0]],
+                    path_a=tuple(chain.states[i] for i in prev[1]),
+                    start_b=chain.states[x0],
+                    path_b=tuple(chain.states[i] for i in path))
+            return None
+        cur = path[-1] if path else x0
+        for y in np.flatnonzero(adj[cur]):
+            bad = walk(x0, path + (int(y),))
+            if bad is not None:
+                return bad
+        return None
+
+    for x0 in range(chain.n):
+        bad = walk(x0, ())
+        if bad is not None:
+            break
+    return SfsResult(order_k=k, holds=bad is None, violation=bad)

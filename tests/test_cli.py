@@ -25,6 +25,7 @@ from lumpchain import (
 )
 from lumpchain.cli import main, report_from_dict
 from lumpchain.errors import ParseError, ValidationError
+from test_sfs_kernel import probe_instance
 
 
 def assert_analysis_matches_standalone(chain, lumping):
@@ -301,6 +302,18 @@ def test_main_bit_identical_across_corpus(corpus_case, capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_check_sfs_answers_k4_on_40_states(tmp_path, capsys):
+    chain, lumping = probe_instance()
+    path = write_model(tmp_path, {
+        "states": list(chain.states),
+        "transition_matrix": chain.transition.tolist(),
+        "lumping": lumping.map})
+    assert main(["check-sfs", path, "--k", "4", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["k"] == 4 and payload["holds"] is False
+    assert len(payload["violation"]["block_word"]) == 3
 
 
 def test_main_kappa_and_checks(capsys):

@@ -68,6 +68,25 @@ def test_growth_and_occurrence_reject_empty_trajectories():
         occurrence_rate_check(ch, (ch.states[0],), 0, [0])
 
 
+def test_growth_rejects_no_seeds():
+    ch, g = load_model("merge_hub")
+    with pytest.raises(ValidationError, match="seed"):
+        empirical_growth(ch, g, 100, [])
+
+
+@pytest.mark.parametrize("checkpoint", [0, -5])
+def test_growth_rejects_checkpoints_below_one(checkpoint):
+    ch, g = load_model("merge_hub")
+    with pytest.raises(ValidationError, match="checkpoints"):
+        empirical_growth(ch, g, 100, [0], checkpoints=[10, checkpoint])
+
+
+def test_occurrence_rate_rejects_no_seeds():
+    ch, _ = load_model("merge_hub")
+    with pytest.raises(ValidationError, match="seed"):
+        occurrence_rate_check(ch, (ch.states[0],), 100, [])
+
+
 def test_traversal_trajectory_equals_pattern():
     stats = traversal_stats(("a", "b"), ("a", "b"))
     assert stats.non_overlapping == (1,)

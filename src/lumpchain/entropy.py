@@ -8,13 +8,14 @@ Mass rule: a word of joint mass at most ``MASS_EPS``, counting its start
 state's stationary weight, is dropped with all its extensions.
 
 Cost: the upper pass to horizon h costs |blocks|^h * n^2 for n states. The
-lower pass is one pass from diag(mu) to depth h-1, the start state being
-the leading digit of each word id, over at most n * |blocks|^(h-1) rows. It
-runs over start chunks whose predicted deepest rows x n stay within
-``_LOWER_CHUNK`` elements, which bounds its peak working set. Every pass
-keeps only the (words x blocks) next-block joints of its levels. The default
-budget admits horizons up to 12 on chains with at most 4 blocks; both caps
-can be raised explicitly by callers who accept the cost.
+lower pass runs backward: one n-vector per realisable block word and next
+block serves every start state, so building its level m costs at most
+|blocks|^(m+1) * n^2 however many start states are live, and only the
+previous level's vectors stay alive. Both passes keep only the
+(words x blocks) next-block joints of their levels, the lower one with the
+start state as the leading digit of each word id. The default budget admits
+horizons up to 12 on chains with at most 4 blocks; both caps can be raised
+explicitly by callers who accept the cost.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ DEFAULT_MAX_HORIZON = 12
 DEFAULT_MAX_BLOCKS = 4
 DIST_SUM_TOL = 1e-9
 _SCORE_CHUNK = 1024  # belief-filter steps scored per numpy call
-_LOWER_CHUNK = 1 << 16  # predicted (rows x states) elements per lower-pass chunk
 
 
 @dataclass(frozen=True)
@@ -177,56 +177,71 @@ def _conditional_entropy(joint: np.ndarray) -> float:
     return float(-np.vdot(joint, cond))
 
 
-def _start_chunks(chain: MarkovChain, nb: int, depth: int) -> list[int]:
-    """Boundaries of the consecutive start-state chunks of a lower pass.
-
-    ``W_0 = 1`` and ``W_m(x) = min(nb**m, sum of W_{m-1}(y) over the
-    successors y of x)`` bound the live m-words after x from above. A chunk
-    closes before its predicted rows at ``depth`` times n would pass
-    ``_LOWER_CHUNK``; a start whose rows alone pass it gets its own chunk.
-    """
-    n = chain.n
-    src, dst = np.nonzero(chain.adjacency)
-    rows = np.ones(n)
-    for m in range(1, depth + 1):
-        rows = np.minimum(float(nb) ** m, np.bincount(src, weights=rows[dst], minlength=n))
-    ends = np.cumsum(rows)
-    bounds = [0]
-    while bounds[-1] < n:
-        lo = bounds[-1]
-        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0.0) + _LOWER_CHUNK / n,
-                                 side="right"))
-        bounds.append(max(hi, lo + 1))
-    return bounds
+def _prepend_blocks(table: np.ndarray, words: np.ndarray, slots: np.ndarray,
+                    heads: np.ndarray, fronts: np.ndarray, shift: int):
+    """The backward table one level deeper: every block b in front of every
+    word that a state of B_b starts, rows ``table[:, B_b] @ P.T[B_b]`` under
+    ids ``b * shift + word``."""
+    nb, n = len(heads), table.shape[1]
+    keep = (table.reshape(len(words), -1) @ fronts > 0.0).T.ravel()
+    grown = np.matmul(table[:, slots].transpose(1, 0, 2), heads)  # front block x rows x states
+    grown = grown.reshape(nb * len(words), nb * n)
+    words = (np.arange(nb)[:, None] * shift + words).ravel()
+    if not keep.all():
+        kept = np.flatnonzero(keep)
+        grown, words = grown.take(kept, axis=0), words.take(kept)
+    return grown.reshape(-1, n), words
 
 
 def _lower_levels(chain: MarkovChain, lumping: "Lumping", depth: int):
-    """Every level of the pass from diag(mu) to ``depth`` blocks after the
-    start state, run chunk by chunk and concatenated in (start, word) order."""
+    """Every level of the lower tables to ``depth`` blocks after the start
+    state, in (start, word) order, by a backward pass.
+
+    Since joint(x, w, c) = mu(x) * (P D_w1 P ... D_wm P 1_c)(x), level m keeps
+    one n-wide row per realisable m-word w and next block c, and level m+1
+    comes from it by :func:`_prepend_blocks`. Each level is read as soon as it
+    is built, for the (start, word) rows the mass rule keeps; only the
+    previous level's table stays alive.
+    """
     n, nb, mu = chain.n, lumping.n_blocks, chain.stationary
     _check_id_width(n, nb, depth)
-    bounds = _start_chunks(chain, nb, depth)
-    chunks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        rho = np.zeros((hi - lo, n))
-        rho[np.arange(hi - lo), np.arange(lo, hi)] = mu[lo:hi]
-        levels = lumped_forward(chain, lumping, rho, depth, False).levels
-        chunks.append([(ids + lo * nb ** m, joint) for m, (ids, joint) in enumerate(levels)])
-    return tuple((np.concatenate(ids), np.concatenate(joints))
-                 for ids, joints in (zip(*level) for level in zip(*chunks)))
+    P = chain.transition
+    # block b's states padded to the largest block; padding rows of P.T are 0
+    width = max(len(idx) for idx in lumping.member_indices)
+    slots = np.zeros((nb, width), dtype=np.intp)
+    heads = np.zeros((nb, width, n))
+    for b, idx in enumerate(lumping.member_indices):
+        slots[b, :len(idx)] = idx
+        heads[b, :len(idx)] = P.T[idx]
+    fronts = np.tile(lumping.indicator, (nb, 1))  # (next block, state) x front block
+    table = np.ascontiguousarray((P @ lumping.indicator).T)  # (word, next block) x state
+    words = np.zeros(1, dtype=np.int64)
+    ids = np.flatnonzero(mu > MASS_EPS)  # the empty word obeys the mass rule too
+    levels = []
+    for m in range(depth + 1):
+        if m:
+            table, words = _prepend_blocks(table, words, slots, heads, fronts, nb ** (m - 1))
+            rows, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
+            ids = levels[-1][0][rows] * nb + blocks
+        start = ids // nb ** m
+        cols = np.searchsorted(words, ids - start * nb ** m)
+        joint = table.reshape(len(words), nb, n)[cols, :, start]
+        joint *= mu.take(start)[:, None]
+        levels.append((ids, joint))
+    return tuple(levels)
 
 
 class BlockWordLattice:
     """Joint laws of block words at every horizon up to two depths.
 
-    The upper tables come from one pass from the stationary law to
-    ``upper_horizon`` blocks. The lower tables come from one pass from
-    diag(mu) to ``lower_horizon`` - 1 blocks after the start state (0: none),
-    whose word ids lead with the start state. It runs over start chunks, so
-    its peak working set is bounded by the predicted rows x n of a chunk
-    (``_LOWER_CHUNK`` elements unless one start alone needs more). Every pass
-    keeps each level it builds, so a horizon reads the same numbers whatever
-    depth the lattice was built to.
+    The upper tables come from one forward pass from the stationary law to
+    ``upper_horizon`` blocks. The lower tables cover ``lower_horizon`` - 1
+    blocks after the start state (0: none), with word ids that lead with the
+    start state. They come from one backward pass (:func:`_lower_levels`):
+    each level is built once for all start states and read at the live
+    ones, so the pass costs the realisable words times n^2, not the live
+    (start, word) pairs times n^2. Every level is kept, so a horizon reads
+    the same numbers whatever depth the lattice was built to.
     """
 
     def __init__(self, chain: MarkovChain, lumping: "Lumping",
@@ -289,15 +304,17 @@ def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int,
     """Sandwich on the lumped entropy rate at horizon n.
 
     upper = H(next block | previous n blocks), lower additionally conditions
-    on the exact state at time 0. Both are computed from forward-pass joint
-    distributions, not estimated.
+    on the exact state at time 0. Both are computed from exact joint
+    distributions, not estimated. Conditioning never raises entropy, so the
+    lower edge is clamped at the upper one, which rounding could otherwise
+    pass by an ulp where the two agree.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     with lattice(chain, lumping, n, n, max_horizon, max_blocks) as lat:
-        return EntropyBounds(
-            horizon=n, lower=_conditional_entropy(lat.lower(n)[1]),
-            upper=_conditional_entropy(lat.upper(n)[1]))
+        upper = _conditional_entropy(lat.upper(n)[1])
+        return EntropyBounds(horizon=n, upper=upper,
+                             lower=min(_conditional_entropy(lat.lower(n)[1]), upper))
 
 
 def conditional_entropy_rate_estimate(chain: MarkovChain, lumping: "Lumping", n: int,

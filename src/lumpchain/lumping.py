@@ -573,8 +573,8 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
     positive joint mass, the next-block conditional given the exact start
     state must equal the conditional given only the start block. The witness
     is the first violation by (word, start block, start state, next block).
-    The verdict also reports the horizon-k rate bounds, which coincide
-    exactly when the check passes.
+    The verdict also reports the horizon-k rate bounds, which agree to
+    rounding when the check passes.
     """
     if k < 1:
         raise KTooSmall("strong lumpability order must be >= 1")

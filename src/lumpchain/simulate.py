@@ -80,13 +80,15 @@ def _resolve_start(chain: MarkovChain, start_mode) -> tuple[np.ndarray, str]:
     return rho / rho.sum(), "custom"
 
 
-def _sample_indices(chain: MarkovChain, length: int, rho: np.ndarray, seed: int) -> np.ndarray:
+def _sample_indices(chain: MarkovChain, length: int, rho: np.ndarray, seed: int,
+                    row_cum: list[list[float]]) -> np.ndarray:
+    """Seeded state indices from ``rho``; ``row_cum`` holds the cumulative
+    sums of every transition row, computed once per call for all seeds."""
     if length < 1:
         raise ValidationError("length must be >= 1")
     rng = np.random.default_rng(seed)
     u = rng.random(length)
     start_cum = np.cumsum(rho).tolist()
-    row_cum = [np.cumsum(row).tolist() for row in chain.transition]
     last = chain.n - 1
     x = min(bisect_right(start_cum, u[0] * start_cum[-1]), last)
     out = np.empty(length, dtype=np.int64)
@@ -107,7 +109,7 @@ def sample_trajectory(chain: MarkovChain, length: int, start_mode="stationary",
                       seed: int = 0) -> Trajectory:
     """Sample a state word of the given length; reproducible for fixed seed."""
     rho, mode = _resolve_start(chain, start_mode)
-    idx = _sample_indices(chain, length, rho, seed)
+    idx = _sample_indices(chain, length, rho, seed, np.cumsum(chain.transition, axis=1).tolist())
     return Trajectory(states=tuple(chain.states[i] for i in idx),
                       seed=seed, start_mode=mode)
 
@@ -168,9 +170,10 @@ def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,
     if low:
         raise ValidationError(f"checkpoints must be >= 1, got {low}")
     rho = np.asarray(chain.stationary, dtype=float)
+    row_cum = np.cumsum(chain.transition, axis=1).tolist()
     words = []
     for seed in sorted(seeds):
-        idx = _sample_indices(chain, length, rho, seed)
+        idx = _sample_indices(chain, length, rho, seed, row_cum)
         words.append([lumping.blocks[b] for b in lumping.of_state[idx]])
     out = []
     for n in checkpoints:
@@ -210,9 +213,11 @@ def occurrence_rate_check(chain: MarkovChain, pattern: Sequence[str], length: in
     k = len(pattern)
     bound = p * float(mu[idx[0]]) / k
 
+    rho = np.asarray(mu, dtype=float)
+    row_cum = np.cumsum(chain.transition, axis=1).tolist()
     rates = []
     for seed in sorted(seeds):
-        seq = _sample_indices(chain, length, np.asarray(mu, dtype=float), seed)
+        seq = _sample_indices(chain, length, rho, seed, row_cum)
         hits = _match_positions(seq, idx)
         rates.append(len(_greedy_non_overlapping(hits, k)) / length)
     rates_arr = np.array(rates)

@@ -224,6 +224,17 @@ def random_sparse_chain(rng, n_states, n_blocks, extra_edges=2):
     return matrix, [int(b) for b in blocks]
 
 
+def faint_sparse_chain(rng, n_states, n_blocks, faint_share=0.3):
+    """``random_sparse_chain`` with about ``faint_share`` of its edges scaled
+    by 1e-4 to 1e-8 before the rows are renormalised, so that some words'
+    joint masses fall at or below the library's mass threshold."""
+    matrix, blocks = random_sparse_chain(rng, n_states, n_blocks)
+    weights = np.array(matrix)
+    faint = (weights > 0) & (rng.random(weights.shape) < faint_share)
+    weights[faint] *= 10.0 ** -rng.uniform(4, 8, size=int(faint.sum()))
+    return (weights / weights.sum(axis=1, keepdims=True)).tolist(), blocks
+
+
 def first_strong_violation(matrix, mu, blocks, k, tol=1e-9):
     """First start state whose next-block law departs from its start block's.
 
@@ -296,6 +307,26 @@ def preimage_count_by_matrix(matrix, blocks, word):
     for a, b in zip(word, word[1:]):
         counts = counts.dot(adj[np.ix_(members[a], members[b])])
     return int(counts.sum())
+
+
+def sample_indices_reference(chain, length, rho, seed):
+    """Frozen copy of the library's original trajectory sampler, which
+    rebuilt every row's cumulative sums for each seed."""
+    from bisect import bisect_right
+
+    rng = np.random.default_rng(seed)
+    u = rng.random(length)
+    start_cum = np.cumsum(rho).tolist()
+    row_cum = [np.cumsum(row).tolist() for row in chain.transition]
+    last = chain.n - 1
+    x = min(bisect_right(start_cum, u[0] * start_cum[-1]), last)
+    out = np.empty(length, dtype=np.int64)
+    out[0] = x
+    for t in range(1, length):
+        cum = row_cum[x]
+        x = min(bisect_right(cum, u[t] * cum[-1]), last)
+        out[t] = x
+    return out
 
 
 def blackwell_reference(transition, stationary, indicator, steps, burn_in, seed,

@@ -1,9 +1,10 @@
-"""The two sampling kernels against their oracles.
+"""The sampling kernels against their oracles.
 
 The belief filter must give the same bits as the per-step reference loop in
 ``oracles.blackwell_reference`` (estimate and stderr compared with ``==``),
-and the preimage DP must give the exact counts of object-dtype matrix
-products on words long enough for those counts to pass 2^64.
+the preimage DP must give the exact counts of object-dtype matrix products
+on words long enough for those counts to pass 2^64, and every sampled
+trajectory must equal the one ``oracles.sample_indices_reference`` draws.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from lumpchain import (
     blackwell_entropy_estimate,
     build_chain,
     build_lumping,
+    empirical_growth,
+    occurrence_rate_check,
     parse_model,
     preimage_count,
     sample_trajectory,
@@ -75,3 +78,35 @@ def test_preimage_count_matches_matrix_products(seed, n_states, n_blocks, length
                                                 [int(b[1:]) for b in word])
     assert expected > 2 ** 64
     assert preimage_count(chain, lumping, word) == expected
+
+
+@pytest.mark.parametrize("shape", RANDOM_CHAINS[:6], ids=lambda s: f"seed{s[0]}-n{s[1]}-b{s[2]}")
+def test_sampling_matches_reference_sampler(shape):
+    chain, lumping, _, _ = random_instance(*shape)
+    mu = np.asarray(chain.stationary, dtype=float)
+    length, seeds = 300, (4, 0, 9)
+    want = {seed: oracles.sample_indices_reference(chain, length, mu, seed) for seed in seeds}
+    for seed in seeds:
+        assert sample_trajectory(chain, length, seed=seed).states == tuple(
+            chain.states[i] for i in want[seed])
+    delta = np.eye(chain.n)[1]
+    assert sample_trajectory(chain, length, ("delta", chain.states[1]), seed=5).states == tuple(
+        chain.states[i] for i in oracles.sample_indices_reference(chain, length, delta, 5))
+    words = [[lumping.blocks[b] for b in lumping.of_state[want[seed]]] for seed in sorted(seeds)]
+    for point in empirical_growth(chain, lumping, length, seeds, checkpoints=(10, 100, 300)):
+        assert point.counts == tuple(preimage_count(chain, lumping, w[:point.n]) for w in words)
+    pattern = [int(x) for x in want[0][:2]]
+    got = occurrence_rate_check(chain, [chain.states[x] for x in pattern], length, seeds)
+    assert got.per_seed == tuple(greedy_occurrences(want[seed].tolist(), pattern) / length
+                                 for seed in sorted(seeds))
+
+
+def greedy_occurrences(seq, pattern):
+    """Non-overlapping occurrences of ``pattern`` taken greedily from the left."""
+    count = t = 0
+    while t + len(pattern) <= len(seq):
+        if seq[t:t + len(pattern)] == pattern:
+            count, t = count + 1, t + len(pattern)
+        else:
+            t += 1
+    return count

@@ -152,7 +152,7 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
             raise ValidationError("a Blackwell seed or burn-in needs blackwell_steps")
     elif config.blackwell_seed is None:
         raise ValidationError("blackwell_steps needs a blackwell_seed")
-    smi = lp.split_merge_index(chain, lumping)
+    loss_bound = lp.entropy_loss_bound(chain, lumping)  # its witness carries the index
     se = lp.check_single_entry(chain, lumping)
     sfs = {k: lp.check_sfs(chain, lumping, k).holds
            for k in config.k_range if k >= 2}
@@ -177,14 +177,14 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
             chain, lumping, config.blackwell_steps,
             config.blackwell_burn_in, config.blackwell_seed)
     return AnalysisReport(
-        kappa=smi.kappa,
+        kappa=loss_bound.witness.kappa if loss_bound else math.inf,
         se=se.holds,
         sfs=sfs,
         strong=strong,
         weak=weak,
         chain_rate=ent.chain_entropy_rate(chain),
         bounds=bounds,
-        loss_bound=lp.entropy_loss_bound(chain, lumping),
+        loss_bound=loss_bound,
         blackwell=blackwell)
 
 

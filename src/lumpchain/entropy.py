@@ -105,9 +105,7 @@ def conditional_entropy(joint) -> float:
 
 def chain_entropy_rate(chain: MarkovChain) -> float:
     """Entropy rate of the chain itself: sum_x mu(x) H(P(x, .))."""
-    mu = chain.stationary
-    P = chain.transition
-    return float(sum(mu[x] * _plogp(P[x]) for x in range(chain.n)))
+    return float(sum(chain.stationary * _block_entropies(chain.transition)))
 
 
 def block_entropy(chain: MarkovChain, n: int) -> float:

@@ -11,14 +11,14 @@ Realisability is structural throughout: a path is realisable iff every
 consecutive pair is an edge of the transition graph, which under an
 irreducible chain coincides with positive stationary path probability.
 
-The split-merge index and the loss bound share one search over ordered
-same-block state pairs, run as ``(n x n)`` boolean matrix products one level
-at a time: O(depth * n^3) time and O(n^2) memory, with the depth at most
-``pair_depth_cap``. The loss bound then scores all minimal windows of one
-block word at once with semiring matrix products over the word's transition
-blocks, O(words * rows * sum |B_i| |B_{i+1}|) for ``rows`` check states per
-word, and enumerates the paths of only the windows that score within a
-rounding margin of the best.
+The split-merge index and the loss bound read one kernel: the levels of the
+same-block state pairs on minimal pair paths, one ``(n x n)`` small-int
+matrix from a forward search and a backward sweep, O(depth * n^3) time at
+worst with the depth at most ``pair_depth_cap``. A greedy walk over it gives
+the index's witness, a search over block words the loss bound's windows,
+which are scored a word at once with semiring products over the word's
+transition blocks, O(words * rows * sum |B_i| |B_{i+1}|) for ``rows`` check
+states per word; only the windows scoring near the best have paths listed.
 
 The single forward k-sequence check builds backward tables over the same
 pairs, diagonal included, with two ``(n x n)`` products per level, and a
@@ -58,9 +58,7 @@ from .errors import (
 )
 
 DEFAULT_PROB_TOL = 1e-9
-_WITNESS_ENUM_CAP = 10_000
 _SFS_TABLE_BUDGET = 1 << 22  # SFS table cells over all levels: (k-1) * n^2 bytes
-_MASK_CHUNK = 1024  # pair paths per window-mask product: O(n * chunk) memory
 
 
 class Lumping:
@@ -274,20 +272,11 @@ def realisable_preimage(chain: MarkovChain, lumping: Lumping, word: Sequence[str
     if len(w) > max_len:
         raise HorizonTooLarge(f"word length {len(w)} exceeds cap {max_len}")
     adj = chain.adjacency
-    out: list[tuple[int, ...]] = []
-
-    def extend(path: tuple[int, ...]):
-        depth = len(path)
-        if depth == len(w):
-            out.append(path)
-            return
-        for x in lumping.member_indices[w[depth]]:
-            if adj[path[-1], x]:
-                extend(path + (int(x),))
-
-    for x0 in lumping.member_indices[w[0]]:
-        extend((int(x0),))
-    return tuple(tuple(chain.states[i] for i in p) for p in out)
+    paths = [(x,) for x in lumping.member_indices[w[0]].tolist()]
+    for b in w[1:]:
+        paths = [path + (x,) for path in paths
+                 for x in lumping.member_indices[b].tolist() if adj[path[-1], x]]
+    return tuple(tuple(chain.states[i] for i in path) for path in paths)
 
 
 def preimage_count(chain: MarkovChain, lumping: Lumping, word: Sequence[str]) -> int:
@@ -325,54 +314,53 @@ def pair_depth_cap(lumping: Lumping) -> int:
     return sum(len(m) * (len(m) - 1) for m in lumping.member_indices)
 
 
-def _minimal_pair_paths(chain: MarkovChain, lumping: Lumping):
-    """Split-merge index and up to ``_WITNESS_ENUM_CAP`` pair paths of that length.
+def _pair_levels(chain: MarkovChain, lumping: Lumping):
+    """Split-merge index and the level of every pair on a minimal pair path.
 
     A pair (u, v) of distinct same-block states stands for two parallel state
     paths with one block word. Start pairs have a common predecessor, end
     pairs a common successor, and the index is the length of the shortest
-    pair path from a start to an end pair. The search runs on ``(n x n)``
-    boolean matrices, one whole level per step; each level holds unvisited
-    pairs only, so it ends within ``pair_depth_cap`` levels. Pair paths come
-    back ordered by their last pair, then by the pair before it, and so on.
+    pair path from a start to an end pair. A forward search on ``(n x n)``
+    boolean matrices labels each pair with its distance from the starts, one
+    level of unvisited pairs per step, so within ``pair_depth_cap`` levels;
+    a backward sweep from the end pairs then clears every pair that leads to
+    none. So ``depth[u, v] = d > 0`` iff (u, v) is the d-th pair of a minimal
+    pair path, and ``depth`` is symmetric.
     """
-    adj = chain.adjacency
-    A = adj.astype(np.float32)  # a sum of non-negative terms is > 0 iff one is
+    A = chain.adjacency.astype(np.float32)  # a sum of non-negative terms is > 0 iff one is
     of_state = lumping.of_state
     pairs = (of_state[:, None] == of_state[None, :]) & ~np.eye(chain.n, dtype=bool)
     ends = pairs & (A @ A.T > 0)
     frontier = pairs & (A.T @ A > 0)
-    level_type = np.min_scalar_type(pair_depth_cap(lumping))  # small: less peak memory
-    dist = np.zeros((chain.n, chain.n), dtype=level_type)
+    level_type = np.min_scalar_type(-pair_depth_cap(lumping) - 1)  # signed, small: less peak memory
+    depth = np.zeros((chain.n, chain.n), dtype=level_type)
     kappa = 1
     while frontier.any():
-        dist[frontier] = kappa
+        depth[frontier] = kappa
         if (frontier & ends).any():
             break
         rows, cols = frontier.any(axis=1), frontier.any(axis=0)  # thin levels stay cheap
         step = A[rows].T @ frontier[np.ix_(rows, cols)] @ A[cols]  # = A.T @ frontier @ A
-        frontier = pairs & (dist == 0) & (step > 0)
+        frontier = pairs & (depth == 0) & (step > 0)
         kappa += 1
     else:
-        return math.inf, []
-    paths: list[list[tuple[int, int]]] = []
-
-    def backward(path: list[tuple[int, int]]):
-        if len(paths) >= _WITNESS_ENUM_CAP:
-            return
-        u, v = path[0]
-        d = dist[u, v]
-        if d == 1:
-            paths.append(path)
-            return
-        pu, pv = np.flatnonzero(adj[:, u]), np.flatnonzero(adj[:, v])
-        for i, j in np.argwhere(dist[np.ix_(pu, pv)] == d - 1):
-            backward([(int(pu[i]), int(pv[j]))] + path)
-
-    for u, v in np.argwhere(ends & (dist == kappa)):
-        backward([(int(u), int(v))])
-    del backward  # a recursive closure is a reference cycle that would hold dist
-    return kappa, paths
+        return math.inf, None
+    # kept pairs get their level negated; each level looks only at predecessors
+    keep = frontier & ends
+    on = np.flatnonzero(keep.any(axis=1))  # = keep.any(axis=0): the pairs are symmetric
+    keep = keep[np.ix_(on, on)]
+    for d in range(kappa, 0, -1):
+        r, c = np.nonzero(keep)
+        depth[on[r], on[c]] = -d
+        if d > 1:
+            to = np.flatnonzero(A[:, on].any(axis=1))
+            T = A[np.ix_(to, on)]
+            keep = (depth[np.ix_(to, to)] == d - 1) & (T @ keep @ T.T > 0)
+            kept = keep.any(axis=1)
+            on, keep = to[kept], keep[np.ix_(kept, kept)]
+    depth[depth > 0] = 0
+    np.negative(depth, out=depth)
+    return kappa, depth
 
 
 def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:
@@ -380,26 +368,28 @@ def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:
     endpoints and block image; ``math.inf`` when no such pair exists.
 
     The reported witness is the lexicographically smallest (by state index)
-    among the minimal ones, with ``path_a < path_b``. Minimal pair paths are
-    enumerated up to 10 000 (``_WITNESS_ENUM_CAP``); beyond that the minimum
-    is taken over the first 10 000 only.
+    among the minimal ones, with ``path_a < path_b``: a greedy walk over the
+    pair levels (``_pair_levels``) takes for ``path_a`` the smallest state at
+    each step that some partner path can still follow, then for ``path_b``
+    the smallest such partner path.
     """
-    kappa, ppaths = _minimal_pair_paths(chain, lumping)
+    kappa, depth = _pair_levels(chain, lumping)
     if not math.isfinite(kappa):
         return SplitMergeResult(kappa=math.inf, witness=None)
     adj = chain.adjacency
-    best = None
-    for ppath in ppaths:
-        a = tuple(p[0] for p in ppath)
-        b = tuple(p[1] for p in ppath)
-        if b < a:
-            a, b = b, a
-        check = int(np.flatnonzero(adj[:, a[0]] & adj[:, b[0]])[0])
-        hat = int(np.flatnonzero(adj[a[-1]] & adj[b[-1]])[0])
-        key = (a, b, check, hat)
-        if best is None or key < best:
-            best = key
-    a, b, check, hat = best
+    a, options, partners = [], np.arange(chain.n), np.ones(chain.n, dtype=bool)
+    for d in range(1, kappa + 1):
+        u = int(options[np.argmax(((depth[options] == d) & partners).any(axis=1))])
+        a.append(u)
+        options, partners = np.flatnonzero(adj[u]), adj[partners & (depth[u] == d)].any(axis=0)
+    follows = [depth[a[-1]] == kappa]
+    for d in range(kappa - 1, 0, -1):
+        follows.append((depth[a[d - 1]] == d) & adj[:, follows[-1]].any(axis=1))
+    b = [int(np.argmax(follows.pop()))]
+    while follows:
+        b.append(int(np.argmax(adj[b[-1]] & follows.pop())))
+    check = int(np.flatnonzero(adj[:, a[0]] & adj[:, b[0]])[0])
+    hat = int(np.flatnonzero(adj[a[-1]] & adj[b[-1]])[0])
     witness = SplitMergeWitness(
         kappa=kappa,
         check_state=chain.states[check],
@@ -661,25 +651,54 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
 def _window_paths(chain: MarkovChain, lumping: Lumping, check: int,
                   word: tuple[int, ...], hat: int):
     """Realisable middles of the witness window, with their probabilities."""
-    adj = chain.adjacency
-    P = chain.transition
-    mu = chain.stationary
-    out: list[tuple[tuple[int, ...], float]] = []
+    adj, P = chain.adjacency, chain.transition
+    paths = [((check,), float(chain.stationary[check]))]
+    for b in word:
+        paths = [(path + (x,), prob * P[path[-1], x]) for path, prob in paths
+                 for x in lumping.member_indices[b].tolist() if adj[path[-1], x]]
+    return [(path[1:], prob * P[path[-1], hat]) for path, prob in paths if adj[path[-1], hat]]
 
-    def extend(path: tuple[int, ...], prob: float):
-        depth = len(path)
-        if depth == len(word):
-            if adj[path[-1], hat]:
-                out.append((path, prob * P[path[-1], hat]))
-            return
-        for x in lumping.member_indices[word[depth]]:
-            prev = path[-1] if path else check
-            if adj[prev, x]:
-                extend(path + (int(x),), prob * P[prev, int(x)])
 
-    extend((), float(mu[check]))
-    del extend  # a recursive closure is a reference cycle that would hold out
-    return out
+def _minimal_windows(chain: MarkovChain, lumping: Lumping, kappa: int, depth: np.ndarray):
+    """Block words of the minimal pair paths with their windows, as
+    ``(word, checks, hats, mask)``: ``mask[i, j]`` is set iff ``(checks[i],
+    word, hats[j])`` is a window.
+
+    A stack search extends a word one block at a time, carrying the level's
+    kept pairs reachable along it. At the minimal index two middle paths of
+    one window differ at every step, so they run over those pairs' states,
+    and the windows are the (check, hat) with two such paths: products of
+    path counts clipped at 2, exact in float32.
+    """
+    A = chain.adjacency.astype(np.float32)  # a sum of non-negative terms is > 0 iff one is
+    of_state = lumping.of_state
+    r, c = np.nonzero(depth)
+    on_level = np.zeros((kappa + 1, chain.n), dtype=bool)  # states on a pair of each level
+    on_level[depth[r, c], r] = True
+    stack = [((), [], None)]
+    while stack:
+        word, on, M = stack.pop()
+        if len(word) == kappa:
+            rows = np.flatnonzero(A[:, on[0]].sum(axis=1) >= 2)
+            cols = np.flatnonzero(A[on[-1]].sum(axis=0) >= 2)
+            C = A[np.ix_(rows, on[0])]
+            for x, y in zip(on, on[1:]):
+                C = np.minimum(C @ A[np.ix_(x, y)], 2)
+            mask = C @ A[np.ix_(on[-1], cols)] >= 2
+            has_row, has_col = mask.any(axis=1), mask.any(axis=0)
+            yield word, rows[has_row], cols[has_col], mask[np.ix_(has_row, has_col)]
+            continue
+        d = len(word) + 1
+        reach = np.flatnonzero(on_level[d] & A[on[-1]].any(axis=0) if word else on_level[d])
+        for b in sorted(set(of_state[reach].tolist())):
+            y = reach[of_state[reach] == b]
+            step = depth[np.ix_(y, y)] == d
+            if word:
+                T = A[np.ix_(on[-1], y)]
+                step &= T.T @ M @ T > 0
+            kept = step.any(axis=1)  # = step.any(axis=0): the pairs are symmetric
+            if kept.any():
+                stack.append(((*word, b), [*on, y[kept]], step[np.ix_(kept, kept)]))
 
 
 def _max_times(V: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -701,12 +720,10 @@ def entropy_loss_bound(chain: MarkovChain, lumping: Lumping) -> LossBound | None
 
     Among the minimal witness windows the one maximising alpha times the
     window entropy is reported; any window yields a sound bound, the maximum
-    is simply the strongest one found. Windows are collected from at most
-    10 000 minimal pair paths (``_WITNESS_ENUM_CAP``), so on chains with more
-    the maximum runs over a subset: a positive 150-state chain with two
-    75-state blocks has 11 100 ordered same-block pairs, all minimal at
-    index 1. The traversal-rate constant alpha uses the most probable
-    realisable path through the chosen window.
+    is simply the strongest one found. The windows of every minimal block
+    word come from the pair levels (``_minimal_windows``), so the maximum
+    runs over all of them. The traversal-rate constant alpha uses the most
+    probable realisable path through the chosen window.
 
     Every window of one block word is scored at once by products over the
     word's transition blocks ``P[B_i, B_{i+1}]``, from the window check
@@ -719,27 +736,12 @@ def entropy_loss_bound(chain: MarkovChain, lumping: Lumping) -> LossBound | None
     their enumerated paths, and the best of those is reported, so the
     result does not depend on the rounding of the products.
     """
-    kappa, ppaths = _minimal_pair_paths(chain, lumping)
+    kappa, depth = _pair_levels(chain, lumping)
     if not math.isfinite(kappa):
         return None
-    adj = chain.adjacency
-    block = lumping.of_state.tolist()
-    ends: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # word -> first and last pairs
-    for ppath in ppaths:
-        ends.setdefault(tuple(block[u] for u, _ in ppath), []).append(ppath[0] + ppath[-1])
-
     P, mu = chain.transition, chain.stationary
     scored = []  # (word, checks, hats, score, rounding bound) per word
-    for word, pairs in ends.items():
-        # window (check, hat) of a pair path: check a common predecessor of its
-        # first pair, hat a common successor of its last; every window then
-        # holds at least the pair path's two paths
-        mask = np.zeros_like(adj)
-        for i in range(0, len(pairs), _MASK_CHUNK):
-            u0, v0, u1, v1 = np.array(pairs[i:i + _MASK_CHUNK]).T
-            mask |= ((adj[:, u0] & adj[:, v0]).astype(np.float32)
-                     @ (adj[u1] & adj[v1]).astype(np.float32)) > 0
-        rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    for word, rows, cols, mask in _minimal_windows(chain, lumping, kappa, depth):
         states = [rows, *(lumping.member_indices[b] for b in word), cols]
         for i, (a, b) in enumerate(zip(states, states[1:])):
             T = P[np.ix_(a, b)]
@@ -748,7 +750,7 @@ def entropy_loss_bound(chain: MarkovChain, lumping: Lumping) -> LossBound | None
                 Z, S, V = T, TlogT, T
             else:
                 Z, S, V = Z @ T, S @ T + Z @ TlogT, _max_times(V, T)
-        r, c = np.nonzero(mask[np.ix_(rows, cols)])
+        r, c = np.nonzero(mask)
         logz, mean = np.log2(Z[r, c]), S[r, c] / Z[r, c]
         alpha = mu[rows[r]] * V[r, c] / (2.0 * (kappa + 2))
         # a relative 1e-9 of both terms, and an absolute 1e-12 bits for

@@ -368,18 +368,109 @@ def blackwell_reference(transition, stationary, indicator, steps, burn_in, seed,
     return estimate, stderr
 
 
+def chain_entropy_rate_by_loop(chain):
+    """The chain's entropy rate by the library's original per-state loop:
+    sum_x mu(x) H(P(x, .)), one row entropy at a time."""
+    from lumpchain.entropy import _plogp
+
+    mu, P = chain.stationary, chain.transition
+    return float(sum(mu[x] * _plogp(P[x]) for x in range(chain.n)))
+
+
+def minimal_pair_paths(chain, lumping):
+    """Split-merge index and every pair path of that length.
+
+    A frozen copy of the library's original pair search, without its cap on
+    the number of paths: a breadth-first search over ordered distinct
+    same-block state pairs from the start pairs (those with a common
+    predecessor) to the end pairs (with a common successor), then a
+    recursive walk back from the end pairs at the last level. Pair paths
+    come back ordered by their last pair, then by the pair before it, and so
+    on. Returns ``(math.inf, [])`` when no start pair reaches an end pair.
+    """
+    from lumpchain.lumping import pair_depth_cap
+
+    adj = chain.adjacency
+    A = adj.astype(np.float32)
+    of_state = lumping.of_state
+    pairs = (of_state[:, None] == of_state[None, :]) & ~np.eye(chain.n, dtype=bool)
+    ends = pairs & (A @ A.T > 0)
+    frontier = pairs & (A.T @ A > 0)
+    dist = np.zeros((chain.n, chain.n), dtype=np.min_scalar_type(pair_depth_cap(lumping)))
+    kappa = 1
+    while frontier.any():
+        dist[frontier] = kappa
+        if (frontier & ends).any():
+            break
+        frontier = pairs & (dist == 0) & (A.T @ frontier @ A > 0)
+        kappa += 1
+    else:
+        return math.inf, []
+    paths = []
+
+    def backward(path):
+        u, v = path[0]
+        d = dist[u, v]
+        if d == 1:
+            paths.append(path)
+            return
+        pu, pv = np.flatnonzero(adj[:, u]), np.flatnonzero(adj[:, v])
+        for i, j in np.argwhere(dist[np.ix_(pu, pv)] == d - 1):
+            backward([(int(pu[i]), int(pv[j]))] + path)
+
+    for u, v in np.argwhere(ends & (dist == kappa)):
+        backward([(int(u), int(v))])
+    return kappa, paths
+
+
+def split_merge_by_enumeration(chain, lumping):
+    """The split-merge index and witness from every minimal pair path.
+
+    A frozen copy of the library's original key loop: each pair path gives
+    two state paths, ordered so that ``a < b``, with the smallest common
+    predecessor of their first states as check and the smallest common
+    successor of their last states as hat; the smallest ``(a, b, check,
+    hat)`` is the witness.
+    """
+    from lumpchain.lumping import SplitMergeResult, SplitMergeWitness
+
+    kappa, ppaths = minimal_pair_paths(chain, lumping)
+    if not math.isfinite(kappa):
+        return SplitMergeResult(kappa=math.inf, witness=None)
+    adj = chain.adjacency
+    best = None
+    for ppath in ppaths:
+        a = tuple(p[0] for p in ppath)
+        b = tuple(p[1] for p in ppath)
+        if b < a:
+            a, b = b, a
+        check = int(np.flatnonzero(adj[:, a[0]] & adj[:, b[0]])[0])
+        hat = int(np.flatnonzero(adj[a[-1]] & adj[b[-1]])[0])
+        key = (a, b, check, hat)
+        if best is None or key < best:
+            best = key
+    a, b, check, hat = best
+    return SplitMergeResult(kappa=kappa, witness=SplitMergeWitness(
+        kappa=kappa,
+        check_state=chain.states[check],
+        hat_state=chain.states[hat],
+        lumped_word=tuple(lumping.blocks[lumping.of_state[x]] for x in a),
+        path_a=tuple(chain.states[x] for x in a),
+        path_b=tuple(chain.states[x] for x in b)))
+
+
 def loss_bound_by_enumeration(chain, lumping, scores=None):
     """The loss bound by scoring every minimal window from its enumerated paths.
 
     A frozen copy of the library's original per-window loop, kept to pin the
-    matrix-scored bound bit for bit: same windows (built from the library's
-    own capped pair search, which this oracle trusts), same probabilities,
+    matrix-scored bound bit for bit: same windows (built from every minimal
+    pair path of :func:`minimal_pair_paths`), same probabilities,
     same ``(-score, check, word, hat)`` choice. Returns a ``LossBound`` or
     None; a dict passed as ``scores`` receives every window's score, keyed by
     ``(check, word, hat)``.
     """
     from lumpchain.entropy import _plogp
-    from lumpchain.lumping import LossBound, SplitMergeWitness, _minimal_pair_paths
+    from lumpchain.lumping import LossBound, SplitMergeWitness
 
     def _window_paths(chain, lumping, check, word, hat):
         adj = chain.adjacency
@@ -401,7 +492,7 @@ def loss_bound_by_enumeration(chain, lumping, scores=None):
         extend((), float(mu[check]))
         return out
 
-    kappa, ppaths = _minimal_pair_paths(chain, lumping)
+    kappa, ppaths = minimal_pair_paths(chain, lumping)
     if not math.isfinite(kappa):
         return None
     adj = chain.adjacency

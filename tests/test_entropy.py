@@ -94,6 +94,22 @@ def test_chain_rate_below_log_state_count(corpus_case):
     assert chain_entropy_rate(chain) <= math.log2(chain.n) + 1e-12
 
 
+def test_chain_rate_matches_per_state_loop(corpus_case):
+    _, chain, _, _ = corpus_case
+    assert repr(chain_entropy_rate(chain)) == repr(oracles.chain_entropy_rate_by_loop(chain))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_chain_rate_matches_per_state_loop_on_seeded_chains(seed):
+    rng = np.random.default_rng([seed, 5])
+    n_states = int(rng.integers(3, 101))
+    n_blocks = int(rng.integers(2, 5))
+    make = oracles.faint_sparse_chain if seed % 2 else oracles.random_sparse_chain
+    matrix, _ = make(rng, n_states, n_blocks)
+    chain = build_chain(matrix)
+    assert repr(chain_entropy_rate(chain)) == repr(oracles.chain_entropy_rate_by_loop(chain))
+
+
 def test_block_entropy_base_case(corpus_case):
     _, chain, _, _ = corpus_case
     assert block_entropy(chain, 1) == pytest.approx(shannon_entropy(chain.stationary), abs=1e-12)

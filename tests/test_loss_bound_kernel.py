@@ -1,23 +1,50 @@
-"""The matrix-scored loss bound against the per-window enumeration.
+"""The pair-level kernel against the pair-path enumeration.
 
-``entropy_loss_bound`` scores every minimal window at once with semiring
-matrix products and enumerates paths only for the windows whose score lies
-within a rounding margin of the best. ``oracles.loss_bound_by_enumeration``
-enumerates every window. The two must agree in ``repr()``: same witness,
-same floats.
+``split_merge_index`` finds its witness by a greedy walk over the pair
+levels. ``entropy_loss_bound`` finds the windows of every minimal block word
+by count products over the same levels, scores them all at once with
+semiring matrix products and enumerates paths only for the windows whose
+score lies within a rounding margin of the best.
+``oracles.split_merge_by_enumeration`` and
+``oracles.loss_bound_by_enumeration`` list every minimal pair path and every
+window. Each pair must agree in ``repr()``: same witness, same floats; and
+the pair levels must be the positions of the pairs on those pair paths.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import MODELS_DIR
-from lumpchain import build_chain, build_lumping, entropy_loss_bound, parse_model
+from lumpchain import (
+    build_chain,
+    build_lumping,
+    entropy_loss_bound,
+    parse_model,
+    split_merge_index,
+)
 from lumpchain import lumping as lumping_module
-from test_lumping import DEEP_WITNESS_SEEDS, sparse_instance, two_branch_chain
+from test_lower_pass import bench_case
+from test_lumping import (
+    DEEP_WITNESS_SEEDS,
+    assert_witnesses_match_windows,
+    sparse_instance,
+    two_branch_chain,
+)
 
 
 def assert_matches_oracle(chain, lumping):
+    kappa, ppaths = oracles.minimal_pair_paths(chain, lumping)
+    levels = np.zeros((chain.n, chain.n), dtype=int)
+    for ppath in ppaths:
+        for d, (u, v) in enumerate(ppath, start=1):
+            levels[u, v] = d
+    got_kappa, depth = lumping_module._pair_levels(chain, lumping)
+    assert got_kappa == kappa and (depth is None) == (not ppaths)
+    assert depth is None or np.array_equal(depth, levels)
+    assert repr(split_merge_index(chain, lumping)) == repr(
+        oracles.split_merge_by_enumeration(chain, lumping))
     got = entropy_loss_bound(chain, lumping)
     assert repr(got) == repr(oracles.loss_bound_by_enumeration(chain, lumping))
     return got
@@ -117,10 +144,122 @@ def test_only_near_best_windows_are_enumerated(monkeypatch, n_states, n_blocks):
     assert 1 <= len(enumerated) <= near < len(scores)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_matches_oracle_across_mask_chunks(monkeypatch, seed):
-    # window masks are built from pair paths a chunk at a time; a chunk of 7
-    # splits the pair paths of the positive chains' words
-    monkeypatch.setattr(lumping_module, "_MASK_CHUNK", 7)
-    assert_matches_oracle(*random_instance(seed))
-    assert_matches_oracle(*positive_instance(seed, 16, 3))
+# the benchmark's sparse shapes: thin and sparse lattice chains, then the
+# lossy pairs chains of 100-300 states
+@pytest.mark.parametrize("n_states,n_blocks,extra_edges", ((12, 3, 1), (24, 3, 1), (16, 4, 1),
+                                                          (24, 4, 1), (12, 3, 2), (16, 4, 2)))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_matches_oracle_on_lattice_shapes(seed, n_states, n_blocks, extra_edges):
+    rng = np.random.default_rng([seed, n_states, n_blocks, extra_edges])
+    matrix, blocks = oracles.random_sparse_chain(rng, n_states, n_blocks, extra_edges)
+    chain = build_chain(matrix, [str(i) for i in range(n_states)])
+    assert_matches_oracle(chain, build_lumping(
+        chain, {str(i): f"b{b}" for i, b in enumerate(blocks)}))
+
+
+@pytest.mark.parametrize("n_states,n_blocks", ((100, 2), (200, 3), (300, 4)))
+def test_matches_oracle_on_pairs_shapes(n_states, n_blocks):
+    assert_matches_oracle(*bench_case(n_states, n_blocks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_matches_oracle_on_small_chains(seed):
+    rng = np.random.default_rng(seed)
+    n_states = int(rng.integers(2, 11))
+    n_blocks = int(rng.integers(1, n_states + 1))
+    matrix, blocks = oracles.random_sparse_chain(rng, n_states, n_blocks, int(rng.integers(3)))
+    chain = build_chain(matrix, [str(i) for i in range(n_states)])
+    assert_matches_oracle(chain, build_lumping(
+        chain, {str(i): f"b{b}" for i, b in enumerate(blocks)}, allow_trivial=True))
+
+
+def edge_chain(states, edges, blocks):
+    """Chain with uniform weights over each state's listed successors."""
+    at = {s: i for i, s in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for a, b in edges:
+        matrix[at[a], at[b]] = 1.0
+    chain = build_chain(matrix / matrix.sum(axis=1, keepdims=True), states)
+    return chain, build_lumping(chain, {s: blocks.get(s, s) for s in states})
+
+
+def test_partner_path_follows_its_own_edges():
+    # path_a is a0 a1, with partners p0 p1 and q0 q1; q1 precedes p1 in
+    # state order, but p0 does not step to q1
+    chain, lumping = edge_chain(
+        ["c", "a0", "p0", "q0", "a1", "q1", "p1", "h"],
+        [("c", "a0"), ("c", "p0"), ("c", "q0"), ("a0", "a1"), ("p0", "p1"), ("q0", "q1"),
+         ("a1", "h"), ("q1", "h"), ("p1", "h"), ("h", "c"), ("h", "h")],
+        {"a0": "A0", "p0": "A0", "q0": "A0", "a1": "A1", "q1": "A1", "p1": "A1"})
+    w = split_merge_index(chain, lumping).witness
+    assert (w.path_a, w.path_b) == (("a0", "a1"), ("p0", "p1"))
+    assert_matches_oracle(chain, lumping)
+
+
+def test_path_a_steps_where_a_partner_can_follow():
+    # a0 steps to b1 and a1; b1 comes first and has a pair of the last level,
+    # (b1, e1), but a0's only partner p0 steps to p1, which pairs with a1 only
+    chain, lumping = edge_chain(
+        ["c", "c2", "a0", "p0", "r0", "s0", "b1", "a1", "p1", "e1", "h", "h2"],
+        [("c", "a0"), ("c", "p0"), ("c2", "r0"), ("c2", "s0"), ("a0", "b1"), ("a0", "a1"),
+         ("p0", "p1"), ("r0", "b1"), ("s0", "e1"), ("a1", "h"), ("p1", "h"), ("b1", "h2"),
+         ("e1", "h2"), ("h", "c"), ("h", "c2"), ("h", "h"), ("h2", "h")],
+        {**dict.fromkeys(("a0", "p0", "r0", "s0"), "A0"),
+         **dict.fromkeys(("b1", "a1", "p1", "e1"), "A1")})
+    w = split_merge_index(chain, lumping).witness
+    assert (w.path_a, w.path_b) == (("a0", "a1"), ("p0", "p1"))
+    assert_matches_oracle(chain, lumping)
+
+
+def test_words_follow_pairs_not_single_states():
+    # minimal words X-Y, X-W and Z-V; x1 and x3 step into V, but they are not
+    # a pair of X that any check enters, so X-V is not a word
+    chain, lumping = edge_chain(
+        ["c1", "c2", "c3", "x1", "x2", "x3", "x4", "y1", "y2", "w1", "w2", "z1", "z2",
+         "v1", "v2", "h"],
+        [("c1", "x1"), ("c1", "x2"), ("x1", "y1"), ("x2", "y2"),
+         ("c2", "x3"), ("c2", "x4"), ("x3", "w1"), ("x4", "w2"),
+         ("c3", "z1"), ("c3", "z2"), ("z1", "v1"), ("z2", "v2"), ("x1", "v1"), ("x3", "v2"),
+         *((s, "h") for s in ("y1", "y2", "w1", "w2", "v1", "v2")),
+         ("h", "c1"), ("h", "c2"), ("h", "c3"), ("h", "h")],
+        {**dict.fromkeys(("x1", "x2", "x3", "x4"), "X"), **dict.fromkeys(("y1", "y2"), "Y"),
+         **dict.fromkeys(("w1", "w2"), "W"), **dict.fromkeys(("z1", "z2"), "Z"),
+         **dict.fromkeys(("v1", "v2"), "V")})
+    words = {word for word, *_ in lumping_module._minimal_windows(
+        chain, lumping, *lumping_module._pair_levels(chain, lumping))}
+    assert {tuple(lumping.blocks[b] for b in word) for word in words} == {
+        ("X", "Y"), ("X", "W"), ("Z", "V")}
+    assert_matches_oracle(chain, lumping)
+
+
+def many_window_chain():
+    """A 107-state chain with two windows at split-merge index 1.
+
+    Check c1 enters any of the 101 states of block X, which all lead to hat
+    h1: 10 100 ordered same-block pairs in one window. Then c2 enters y1 or
+    y2 of block Y, which lead to hat h2. Y's window scores best, but the
+    first 10 000 pair paths in end-pair order are all X's.
+    """
+    xs = [f"x{i}" for i in range(101)]
+    states = [*xs, "c1", "h1", "y1", "y2", "c2", "h2"]
+    at = {s: i for i, s in enumerate(states)}
+    matrix = np.zeros((len(states), len(states)))
+    for x in xs:
+        matrix[at["c1"], at[x]] = 1 / 101
+        matrix[at[x], at["h1"]] = 1.0
+    for a, b, p in (("h1", "c2", 1.0), ("c2", "y1", 0.5), ("c2", "y2", 0.5), ("y1", "h2", 1.0),
+                    ("y2", "h2", 1.0), ("h2", "c1", 0.5), ("h2", "h2", 0.5)):
+        matrix[at[a], at[b]] = p
+    chain = build_chain(matrix, states)
+    return chain, build_lumping(chain, {s: "X" if s in xs else "Y" if s in ("y1", "y2") else s
+                                        for s in states})
+
+
+def test_best_window_past_ten_thousand_pair_paths():
+    chain, lumping = many_window_chain()
+    got = assert_matches_oracle(chain, lumping)
+    w = got.witness
+    assert (w.check_state, w.lumped_word, w.hat_state) == ("c2", ("Y",), "h2")
+    assert got.rate_lower_bound == pytest.approx(1 / 84, rel=1e-12)
+    assert_witnesses_match_windows(chain, lumping)

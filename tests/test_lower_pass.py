@@ -28,8 +28,10 @@ from lumpchain import (
     split_merge_index,
 )
 from lumpchain import entropy as entropy_module
+from lumpchain import lumping as lumping_module
 from lumpchain.entropy import MASS_EPS, BlockWordLattice, lumped_forward
 from lumpchain.errors import HorizonTooLarge
+from test_lumping import DEEP_WITNESS_SEEDS, sparse_instance
 
 # the benchmark's pairs run: horizons 1..3, k 1..2, weak horizon 3
 PAIRS_CONFIG = AnalysisConfig(horizons=(1, 2, 3), k_range=(1, 2), weak_horizon=3)
@@ -161,15 +163,15 @@ def test_lower_never_exceeds_upper(case):
         assert bounds.lower <= bounds.upper
 
 
-def count_calls(monkeypatch, name):
+def count_calls(monkeypatch, name, module=entropy_module):
     calls = []
-    original = getattr(entropy_module, name)
+    original = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(entropy_module, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -182,6 +184,23 @@ def test_analysis_makes_one_upper_and_one_lower_pass(monkeypatch, name):
     lower = count_calls(monkeypatch, "_lower_levels")
     run_analysis(chain, lumping, *([PAIRS_CONFIG] if horizon == 3 else []))
     assert (len(forward), len(lower)) == (1, 1)
+
+
+@pytest.mark.parametrize("name", [*(path.stem for path in sorted(MODELS_DIR.glob("*.json"))),
+                                  "bench-n300-b4"])
+def test_analysis_makes_one_pair_search(monkeypatch, name):
+    build, horizon = CASES[name]
+    chain, lumping = build()
+    searches = count_calls(monkeypatch, "_pair_levels", lumping_module)
+    run_analysis(chain, lumping, *([PAIRS_CONFIG] if horizon == 3 else []))
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize("seed", DEEP_WITNESS_SEEDS)
+def test_analysis_reads_the_index_off_the_loss_bound(seed):
+    chain, lumping = sparse_instance(seed)
+    report = run_analysis(chain, lumping, AnalysisConfig(horizons=(1, 2), weak_horizon=2))
+    assert report.kappa == split_merge_index(chain, lumping).kappa >= 2
 
 
 def test_start_digit_counts_in_the_id_guard():

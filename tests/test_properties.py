@@ -148,7 +148,7 @@ def test_preimage_count_matches_enumeration(seed, length):
         matrix, blocks, [BLOCK_NAMES.index(b) for b in word])
     assert preimage_count(chain, lumping, word) == len(expected)
     got = realisable_preimage(chain, lumping, word)
-    assert len(got) == len(expected)
+    assert got == tuple(tuple(chain.states[x] for x in path) for path in expected)
 
 
 @settings(max_examples=30, deadline=None)

@@ -27,7 +27,7 @@ from . import entropy as ent
 from . import lumping as lp
 from . import simulate as sim
 from .chain import MarkovChain, build_chain, reverse_chain
-from .errors import LumpchainError, ParseError, ValidationError
+from .errors import HorizonTooLarge, LumpchainError, ParseError, ValidationError
 
 SCHEMA_VERSION = "1"
 
@@ -130,7 +130,9 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Aggregated verdicts for one model, stable under re-runs."""
+    """Aggregated verdicts for one model, stable under re-runs. The loss
+    bound is None when the index is infinite, or when its minimal block words
+    exceed the loss bound's budget."""
 
     kappa: float
     se: bool
@@ -152,7 +154,11 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
             raise ValidationError("a Blackwell seed or burn-in needs blackwell_steps")
     elif config.blackwell_seed is None:
         raise ValidationError("blackwell_steps needs a blackwell_seed")
-    loss_bound = lp.entropy_loss_bound(chain, lumping)  # its witness carries the index
+    kappa, depth = lp._pair_levels(chain, lumping)  # one pair search for the index and the bound
+    try:
+        loss_bound = lp._loss_bound(chain, lumping, kappa, depth)
+    except HorizonTooLarge:  # too many minimal block words to score; the index stands
+        loss_bound = None
     se = lp.check_single_entry(chain, lumping)
     sfs = {k: lp.check_sfs(chain, lumping, k).holds
            for k in config.k_range if k >= 2}
@@ -177,7 +183,7 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
             chain, lumping, config.blackwell_steps,
             config.blackwell_burn_in, config.blackwell_seed)
     return AnalysisReport(
-        kappa=loss_bound.witness.kappa if loss_bound else math.inf,
+        kappa=kappa,
         se=se.holds,
         sfs=sfs,
         strong=strong,
@@ -280,7 +286,10 @@ def format_report(report: AnalysisReport, format: str = "human") -> str:
     lines += [_weak_line(k, report.weak[k]) for k in sorted(report.weak)]
     lines.append(f"chain entropy rate: {report.chain_rate:.6f} bits/step")
     lines += [_bounds_text(b) for b in report.bounds]
-    lines.append(_loss_line(report.loss_bound, growth=True))
+    if report.loss_bound is None and math.isfinite(report.kappa):
+        lines.append("entropy loss bound: refused (too many minimal block words to score)")
+    else:
+        lines.append(_loss_line(report.loss_bound, growth=True))
     if report.loss_bound is not None:
         w = report.loss_bound.witness
         lines.append(f"  witness: {_witness_text(w)}  over blocks {'-'.join(w.lumped_word)}")

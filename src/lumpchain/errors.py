@@ -85,8 +85,9 @@ class StateSpaceTooLarge(AnalysisError):
 
 class HorizonTooLarge(AnalysisError):
     """Requested horizon or block count exceeds the block-word lattice budget,
-    a word exceeds its length cap, or the SFS pair tables exceed their cell
-    budget; the message names the predicted size."""
+    a word exceeds its length cap, the SFS pair tables exceed their cell
+    budget, or the loss bound's minimal block words their step budget; the
+    message names the size."""
 
 
 class PreconditionViolated(AnalysisError):

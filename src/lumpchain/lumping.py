@@ -19,6 +19,8 @@ the index's witness, a search over block words the loss bound's windows,
 which are scored a word at once with semiring products over the word's
 transition blocks, O(words * rows * sum |B_i| |B_{i+1}|) for ``rows`` check
 states per word; only the windows scoring near the best have paths listed.
+The minimal words can be exponentially many, so past a budget the loss bound
+is refused before it scores any; the index itself stays polynomial.
 
 The single forward k-sequence check builds backward tables over the same
 pairs, diagonal included, with two ``(n x n)`` products per level, and a
@@ -59,6 +61,7 @@ from .errors import (
 
 DEFAULT_PROB_TOL = 1e-9
 _SFS_TABLE_BUDGET = 1 << 22  # SFS table cells over all levels: (k-1) * n^2 bytes
+_WINDOW_STEP_BUDGET = 1 << 14  # loss bound: minimal block words times their length
 
 
 class Lumping:
@@ -272,11 +275,20 @@ def realisable_preimage(chain: MarkovChain, lumping: Lumping, word: Sequence[str
     if len(w) > max_len:
         raise HorizonTooLarge(f"word length {len(w)} exceeds cap {max_len}")
     adj = chain.adjacency
-    paths = [(x,) for x in lumping.member_indices[w[0]].tolist()]
-    for b in w[1:]:
-        paths = [path + (x,) for path in paths
-                 for x in lumping.member_indices[b].tolist() if adj[path[-1], x]]
-    return tuple(tuple(chain.states[i] for i in path) for path in paths)
+    out: list[tuple[int, ...]] = []
+
+    def extend(path: tuple[int, ...]):
+        depth = len(path)
+        if depth == len(w):
+            out.append(path)
+            return
+        for x in lumping.member_indices[w[depth]]:
+            if adj[path[-1], x]:
+                extend(path + (int(x),))
+
+    for x0 in lumping.member_indices[w[0]]:
+        extend((int(x0),))
+    return tuple(tuple(chain.states[i] for i in p) for p in out)
 
 
 def preimage_count(chain: MarkovChain, lumping: Lumping, word: Sequence[str]) -> int:
@@ -668,25 +680,22 @@ def _minimal_windows(chain: MarkovChain, lumping: Lumping, kappa: int, depth: np
     kept pairs reachable along it. At the minimal index two middle paths of
     one window differ at every step, so they run over those pairs' states,
     and the windows are the (check, hat) with two such paths: products of
-    path counts clipped at 2, exact in float32.
+    path counts clipped at 2, exact in float32. Every word the search
+    extends leads to a minimal one, so a budget on those bounds the search.
     """
     A = chain.adjacency.astype(np.float32)  # a sum of non-negative terms is > 0 iff one is
     of_state = lumping.of_state
     r, c = np.nonzero(depth)
     on_level = np.zeros((kappa + 1, chain.n), dtype=bool)  # states on a pair of each level
     on_level[depth[r, c], r] = True
-    stack = [((), [], None)]
+    found, stack = [], [((), [], None)]
     while stack:
         word, on, M = stack.pop()
         if len(word) == kappa:
-            rows = np.flatnonzero(A[:, on[0]].sum(axis=1) >= 2)
-            cols = np.flatnonzero(A[on[-1]].sum(axis=0) >= 2)
-            C = A[np.ix_(rows, on[0])]
-            for x, y in zip(on, on[1:]):
-                C = np.minimum(C @ A[np.ix_(x, y)], 2)
-            mask = C @ A[np.ix_(on[-1], cols)] >= 2
-            has_row, has_col = mask.any(axis=1), mask.any(axis=0)
-            yield word, rows[has_row], cols[has_col], mask[np.ix_(has_row, has_col)]
+            found.append((word, on))
+            if len(found) * kappa > _WINDOW_STEP_BUDGET:
+                raise HorizonTooLarge(f"{len(found)} minimal block words of length {kappa} exceed "
+                                      f"the loss bound's {_WINDOW_STEP_BUDGET} word steps")
             continue
         d = len(word) + 1
         reach = np.flatnonzero(on_level[d] & A[on[-1]].any(axis=0) if word else on_level[d])
@@ -699,6 +708,15 @@ def _minimal_windows(chain: MarkovChain, lumping: Lumping, kappa: int, depth: np
             kept = step.any(axis=1)  # = step.any(axis=0): the pairs are symmetric
             if kept.any():
                 stack.append(((*word, b), [*on, y[kept]], step[np.ix_(kept, kept)]))
+    for word, on in found:
+        rows = np.flatnonzero(A[:, on[0]].sum(axis=1) >= 2)
+        cols = np.flatnonzero(A[on[-1]].sum(axis=0) >= 2)
+        C = A[np.ix_(rows, on[0])]
+        for x, y in zip(on, on[1:]):
+            C = np.minimum(C @ A[np.ix_(x, y)], 2)
+        mask = C @ A[np.ix_(on[-1], cols)] >= 2
+        has_row, has_col = mask.any(axis=1), mask.any(axis=0)
+        yield word, rows[has_row], cols[has_col], mask[np.ix_(has_row, has_col)]
 
 
 def _max_times(V: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -734,9 +752,15 @@ def entropy_loss_bound(chain: MarkovChain, lumping: Lumping) -> LossBound | None
     ``rows`` check states per word. Only the windows whose score lies
     within a rounding margin of the best are then scored exactly from
     their enumerated paths, and the best of those is reported, so the
-    result does not depend on the rounding of the products.
+    result does not depend on the rounding of the products. Past
+    ``_WINDOW_STEP_BUDGET`` minimal words times their length it raises
+    ``HorizonTooLarge`` before scoring any.
     """
-    kappa, depth = _pair_levels(chain, lumping)
+    return _loss_bound(chain, lumping, *_pair_levels(chain, lumping))
+
+
+def _loss_bound(chain: MarkovChain, lumping: Lumping, kappa, depth) -> LossBound | None:
+    """``entropy_loss_bound`` from the pair levels."""
     if not math.isfinite(kappa):
         return None
     P, mu = chain.transition, chain.stationary

@@ -25,6 +25,8 @@ from lumpchain import (
     split_merge_index,
 )
 from lumpchain import lumping as lumping_module
+from lumpchain.cli import AnalysisConfig, format_report, run_analysis
+from lumpchain.errors import HorizonTooLarge
 from test_lower_pass import bench_case
 from test_lumping import (
     DEEP_WITNESS_SEEDS,
@@ -263,3 +265,43 @@ def test_best_window_past_ten_thousand_pair_paths():
     assert (w.check_state, w.lumped_word, w.hat_state) == ("c2", ("Y",), "h2")
     assert got.rate_lower_bound == pytest.approx(1 / 84, rel=1e-12)
     assert_witnesses_match_windows(chain, lumping)
+
+
+def layered_chain(levels):
+    """A chain of 4 * levels + 2 states with 2^levels minimal block words.
+
+    Check c enters a1, a'1, b1 and b'1. At each level a and b step to both
+    of the next a and b, and a' and b' to both of the next a' and b'; the
+    blocks are {a_d, a'_d} and {b_d, b'_d}, and the last level steps to hat
+    h. So the index is ``levels`` and every A/B word of that length is a
+    minimal block word.
+    """
+    names = [f"{s}{d}" for d in range(1, levels + 1) for s in ("a", "a'", "b", "b'")]
+    succ = {"c": ["a1", "a'1", "b1", "b'1"], "h": ["c", "h"]}
+    for d in range(1, levels + 1):
+        for s in ("a", "b"):
+            succ[f"{s}{d}"] = [f"a{d + 1}", f"b{d + 1}"] if d < levels else ["h"]
+            succ[f"{s}'{d}"] = [f"a'{d + 1}", f"b'{d + 1}"] if d < levels else ["h"]
+    return edge_chain(["c", *names, "h"], [(a, b) for a, bs in succ.items() for b in bs],
+                      {x: x[0].upper() + x.lstrip("ab'") for x in names})
+
+
+def test_every_minimal_word_scored_under_the_budget():
+    chain, lumping = layered_chain(4)
+    assert len(list(lumping_module._minimal_windows(
+        chain, lumping, *lumping_module._pair_levels(chain, lumping)))) == 16
+    assert assert_matches_oracle(chain, lumping).witness.kappa == 4
+
+
+def test_too_many_minimal_words_are_refused_before_scoring(monkeypatch):
+    chain, lumping = layered_chain(30)
+    scored = []
+    monkeypatch.setattr(lumping_module, "_max_times", lambda *args: scored.append(args))
+    with pytest.raises(HorizonTooLarge, match="minimal block words of length 30"):
+        entropy_loss_bound(chain, lumping)
+    assert not scored
+    assert split_merge_index(chain, lumping).kappa == 30
+    report = run_analysis(chain, lumping, AnalysisConfig(
+        horizons=(1,), k_range=(1,), weak_horizon=1, max_blocks=lumping.n_blocks))
+    assert (report.kappa, report.loss_bound) == (30, None)
+    assert "entropy loss bound: refused" in format_report(report)

@@ -182,22 +182,13 @@ def test_analysis_makes_one_upper_and_one_lower_pass(monkeypatch, name):
     chain, lumping = build()
     forward = count_calls(monkeypatch, "lumped_forward")
     lower = count_calls(monkeypatch, "_lower_levels")
-    run_analysis(chain, lumping, *([PAIRS_CONFIG] if horizon == 3 else []))
-    assert (len(forward), len(lower)) == (1, 1)
-
-
-@pytest.mark.parametrize("name", [*(path.stem for path in sorted(MODELS_DIR.glob("*.json"))),
-                                  "bench-n300-b4"])
-def test_analysis_makes_one_pair_search(monkeypatch, name):
-    build, horizon = CASES[name]
-    chain, lumping = build()
     searches = count_calls(monkeypatch, "_pair_levels", lumping_module)
     run_analysis(chain, lumping, *([PAIRS_CONFIG] if horizon == 3 else []))
-    assert len(searches) == 1
+    assert (len(forward), len(lower), len(searches)) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("seed", DEEP_WITNESS_SEEDS)
-def test_analysis_reads_the_index_off_the_loss_bound(seed):
+def test_analysis_reports_the_index_of_its_pair_search(seed):
     chain, lumping = sparse_instance(seed)
     report = run_analysis(chain, lumping, AnalysisConfig(horizons=(1, 2), weak_horizon=2))
     assert report.kappa == split_merge_index(chain, lumping).kappa >= 2

@@ -21,6 +21,7 @@ explicitly by callers who accept the cost.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -40,7 +41,7 @@ MASS_EPS = 1e-15
 DEFAULT_MAX_HORIZON = 12
 DEFAULT_MAX_BLOCKS = 4
 DIST_SUM_TOL = 1e-9
-_SCORE_CHUNK = 1024  # belief-filter steps scored per numpy call
+_BELIEF_TABLE_BUDGET = 2048  # beliefs the filter interns before it empties its table
 
 
 @dataclass(frozen=True)
@@ -366,10 +367,17 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     post-burn-in step per batch are required. Fixed seeds give identical
     output.
 
-    Cost: O(steps * n^2) for n states, one belief update per step, exact for
-    a fixed seed. The block laws are scored in chunks of ``_SCORE_CHUNK``
-    steps, so scoring memory does not grow with ``steps`` beyond the vector
-    of per-step scores.
+    The filter interns its beliefs. After block y is drawn the belief lives
+    on block y, and y with the bytes of its values there names it. Each
+    distinct belief is predicted once, O(n^2) for n states, and keeps its
+    block masses, their cumulative sums and one next-belief slot per block,
+    filled the first time that block is drawn from it. A revisited step costs
+    one bisection, O(log blocks), and one slot read. The block masses are
+    scored once per distinct belief and gathered by belief, so every number
+    is the one a per-step loop gives. The table keeps at most
+    ``_BELIEF_TABLE_BUDGET`` beliefs: when it is full, the steps so far are
+    scored and it starts empty. Memory is that budget plus one score and one
+    belief id per step, however many distinct beliefs a run visits.
     """
     if burn_in is None:
         burn_in = steps // 10
@@ -385,27 +393,87 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     B = lumping.indicator
     nb = lumping.n_blocks
     columns = [np.ascontiguousarray(B[:, y]) for y in range(nb)]
-
-    w = np.array(chain.stationary, dtype=float)
+    # where each block's beliefs live; the start belief lives on every state
+    homes = [np.flatnonzero(c) for c in columns] + [slice(None)]
     uniforms = rng.random(steps)
     vals = np.empty(steps - burn_in)
-    laws = np.empty((_SCORE_CHUNK, nb))
-    # segments of at most one chunk; scoring starts on a segment boundary
-    ends = [*range(0, burn_in, _SCORE_CHUNK), *range(burn_in, steps, _SCORE_CHUNK), steps]
-    for lo, hi in zip(ends, ends[1:]):
-        for i, u in enumerate(uniforms[lo:hi].tolist()):
+
+    # The table keeps one row of nb cells per distinct belief, and a belief's
+    # id is the offset of its row. Per block, the row holds the block's mass,
+    # the sum of the masses up to it (sequential, as ``accumulate``) and the
+    # id of the belief that drawing the block leads to (-1 until drawn).
+    index = [{} for _ in range(nb + 1)]  # per home: bytes of a belief there -> id
+    key_of = []  # per belief, its bytes
+    size, room = 0, _BELIEF_TABLE_BUDGET * nb  # cells in use, and the budget in cells
+    masses, cums, slots = array("d"), array("d"), array("i", [-1]) * room
+    ids = array("i")  # belief of each step since the table was last emptied
+    first = 0  # the step of ids[0]
+
+    def flush():
+        """Score the steps in ``ids``, each by its belief's block masses,
+        then empty the table; the masses are scored once per belief."""
+        nonlocal first
+        for known in index:
+            known.clear()
+        del key_of[:], cums[:]
+        slots[:] = array("i", [-1]) * room
+        skip = max(burn_in - first, 0)
+        if skip < len(ids):
+            scores = _block_entropies(np.frombuffer(masses).reshape(-1, nb))
+            np.take(scores, np.frombuffer(ids, dtype=np.intc)[skip:] // nb,
+                    out=vals[first + skip - burn_in:first + len(ids) - burn_in])
+        first += len(ids)
+        del masses[:], ids[:]
+
+    last = nb - 1
+    w = np.array(chain.stationary, dtype=float)
+    y, key, b = nb, w.tobytes(), -1  # the start belief, interned as id 0
+    index[y][key] = 0
+    for u in memoryview(uniforms):
+        if b < 0:  # w is new: give it the next row, predicting from it once
+            b = size
+            size += nb
+            key_of.append(key)
             pred = w @ P
             r = pred @ B
-            laws[i] = r
             mass = r.tolist()
-            cum = list(accumulate(mass))  # sequential, as np.cumsum
-            y = min(bisect_right(cum, u * cum[-1]), nb - 1)
-            if mass[y] < 1e-300:
+            masses.fromlist(mass)
+            cums.extend(accumulate(mass))
+        ids.append(b)
+        end = b + last
+        # the drawn block's cell; leaving out the row's last sum caps it at the last block
+        cell = bisect_right(cums, u * cums[end], b, end)
+        nxt = slots[cell]
+        if nxt < 0:  # first draw of this block from belief b
+            y = cell - b
+            if pred is None:  # pred is not b's: rebuild b from its bytes, predict again
+                key = key_of[b // nb]
+                home = next(h for h, known in enumerate(index) if known.get(key) == b)
+                w = np.zeros(len(P))
+                w[homes[home]] = np.frombuffer(key)
+                pred = w @ P
+                r = np.frombuffer(masses[b:end + 1])
+            mass = r[y]  # a numpy scalar divides faster than a Python float
+            if mass < 1e-300:
                 raise ZeroMassUpdate(f"drawn block {lumping.blocks[y]!r} has underflowed mass")
             w = pred * columns[y]
-            w /= mass[y]
-        if lo >= burn_in:
-            vals[lo - burn_in:hi - burn_in] = _block_entropies(laws[:hi - lo])
+            w /= mass
+            key = w[homes[y]].tobytes()
+            nxt = index[y].setdefault(key, size)
+            if nxt < size:  # a belief already in the table
+                slots[cell] = nxt
+                pred = None
+            elif size < room:  # w is new and gets the next row
+                slots[cell] = size
+                nxt = -1
+            else:  # full: score the steps so far; w starts an empty table
+                flush()
+                size, nxt = 0, -1
+                index[y][key] = 0
+        else:
+            pred = None
+        b = nxt
+    flush()
 
     estimate = float(vals.mean())
     usable = (len(vals) // batches) * batches

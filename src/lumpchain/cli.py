@@ -124,8 +124,6 @@ class AnalysisConfig:
     blackwell_steps: int | None = None
     blackwell_burn_in: int | None = None
     blackwell_seed: int | None = None
-    max_horizon: int = ent.DEFAULT_MAX_HORIZON
-    max_blocks: int = ent.DEFAULT_MAX_BLOCKS
 
 
 @dataclass(frozen=True)
@@ -165,18 +163,13 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
     # one upper and one lower pass, as deep as the checks below need, serve them all
     lower = max((*config.horizons, *config.k_range), default=0)
     upper = max(lower, config.weak_horizon) if config.k_range else lower
-    with ent.lattice(chain, lumping, upper, lower, config.max_horizon, config.max_blocks):
-        strong = {k: lp.check_strong_lumpable(
-                      chain, lumping, k, config.tol,
-                      config.max_horizon, config.max_blocks).strong
+    with ent.lattice(chain, lumping, upper, lower):
+        strong = {k: lp.check_strong_lumpable(chain, lumping, k, config.tol).strong
                   for k in config.k_range}
         weak = {k: lp.check_weak_lumpable(
-                    chain, lumping, k, max(config.weak_horizon, k), config.tol,
-                    config.max_horizon, config.max_blocks).weak_up_to_horizon
+                    chain, lumping, k, max(config.weak_horizon, k), config.tol).weak_up_to_horizon
                 for k in config.k_range}
-        bounds = tuple(ent.lumped_rate_bounds(chain, lumping, n,
-                                              config.max_horizon, config.max_blocks)
-                       for n in config.horizons)
+        bounds = tuple(ent.lumped_rate_bounds(chain, lumping, n) for n in config.horizons)
     blackwell = None
     if config.blackwell_steps is not None:
         blackwell = ent.blackwell_entropy_estimate(
@@ -450,8 +443,7 @@ def _cmd(args) -> None:
               {"k": args.k, **_to_json(v), "caveat": _WEAK_CAVEAT,
                "conditional_entropies": res.conditional_entropies, "witness": res.witness})
     elif args.command == "bounds":
-        with ent.lattice(chain, lumping, args.n, args.n,
-                         ent.DEFAULT_MAX_HORIZON, ent.DEFAULT_MAX_BLOCKS):
+        with ent.lattice(chain, lumping, args.n, args.n):
             b = ent.lumped_rate_bounds(chain, lumping, args.n)
             loss = ent.conditional_entropy_rate_estimate(chain, lumping, args.n)
         human = (f"{_bounds_text(b)}; loss in "

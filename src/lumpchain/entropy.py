@@ -13,9 +13,9 @@ block serves every start state, so building its level m costs at most
 |blocks|^(m+1) * n^2 however many start states are live, and only the
 previous level's vectors stay alive. Both passes keep only the
 (words x blocks) next-block joints of their levels, the lower one with the
-start state as the leading digit of each word id. The default budget admits
-horizons up to 12 on chains with at most 4 blocks; both caps can be raised
-explicitly by callers who accept the cost.
+start state as the leading digit of each word id. A level is refused
+before it is allocated when its rows times their width pass
+``_LATTICE_CELL_BUDGET`` float cells, whatever the horizon or block count.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ if TYPE_CHECKING:
     from .lumping import Lumping
 
 MASS_EPS = 1e-15
-DEFAULT_MAX_HORIZON = 12
-DEFAULT_MAX_BLOCKS = 4
 DIST_SUM_TOL = 1e-9
+_LATTICE_CELL_BUDGET = 1 << 22  # float cells of one level of either block-word pass
 _BELIEF_TABLE_BUDGET = 2048  # beliefs the filter interns before it empties its table
 
 
@@ -119,14 +118,11 @@ def block_entropy(chain: MarkovChain, n: int) -> float:
 @dataclass(frozen=True, eq=False)
 class WordTable:
     """Live block words of one length in lexicographic order: ids in base
-    |blocks|, first symbol most significant; the joint mass of each word with
-    the hidden state at its last instant, and with the following block.
-    ``levels[m]`` holds the ids and next-block joint of the live m-words for
-    every m up to this length, taken from the same pass."""
+    |blocks|, first symbol most significant. ``levels[m]`` holds the ids and
+    next-block joint of the live m-words for every m up to this length, taken
+    from the same pass."""
 
     ids: np.ndarray
-    mass: np.ndarray
-    next_mass: np.ndarray
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __len__(self) -> int:
@@ -139,6 +135,15 @@ def _check_id_width(starts: int, nb: int, n_symbols: int) -> None:
     if starts * nb ** (n_symbols + 1) > np.iinfo(np.int64).max:
         raise HorizonTooLarge(f"{starts} x {nb}^{n_symbols + 1} block words "
                               "overflow 64-bit word ids")
+
+
+def _check_cells(pass_name: str, level: int, rows: int, width: int) -> None:
+    """Refuse a level of a block-word pass whose rows x width float cells
+    pass ``_LATTICE_CELL_BUDGET``, before it is allocated."""
+    cells = rows * width
+    if cells > _LATTICE_CELL_BUDGET:
+        raise HorizonTooLarge(f"level {level} of the {pass_name} pass needs {rows} x {width} "
+                              f"= {cells} cells, over the budget {_LATTICE_CELL_BUDGET}")
 
 
 def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
@@ -160,13 +165,14 @@ def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
     ids, mass = np.arange(len(mass), dtype=np.int64)[live], mass[live]
     pushed = mass if first_is_current else mass @ P
     levels = [(ids, pushed @ B)]
-    for _ in range(n_symbols):
+    for level in range(1, n_symbols + 1):
         words, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
+        _check_cells("forward", level, len(words), chain.n)
         ids, mass = ids[words] * nb + blocks, pushed[words]
         mass[lumping.of_state != blocks[:, None]] = 0.0
         pushed = mass @ P
         levels.append((ids, pushed @ B))
-    return WordTable(ids=ids, mass=mass, next_mass=levels[-1][1], levels=tuple(levels))
+    return WordTable(ids=ids, levels=tuple(levels))
 
 
 def _conditional_entropy(joint: np.ndarray) -> float:
@@ -177,15 +183,16 @@ def _conditional_entropy(joint: np.ndarray) -> float:
 
 
 def _prepend_blocks(table: np.ndarray, words: np.ndarray, slots: np.ndarray,
-                    heads: np.ndarray, fronts: np.ndarray, shift: int):
-    """The backward table one level deeper: every block b in front of every
-    word that a state of B_b starts, rows ``table[:, B_b] @ P.T[B_b]`` under
-    ids ``b * shift + word``."""
+                    heads: np.ndarray, fronts: np.ndarray, level: int):
+    """The backward table at ``level``, one deeper than ``table``: every
+    block b in front of every word that a state of B_b starts, rows
+    ``table[:, B_b] @ P.T[B_b]`` under ids ``b * nb**(level-1) + word``."""
     nb, n = len(heads), table.shape[1]
+    _check_cells("backward", level, nb * len(words), nb * n)
     keep = (table.reshape(len(words), -1) @ fronts > 0.0).T.ravel()
     grown = np.matmul(table[:, slots].transpose(1, 0, 2), heads)  # front block x rows x states
     grown = grown.reshape(nb * len(words), nb * n)
-    words = (np.arange(nb)[:, None] * shift + words).ravel()
+    words = (np.arange(nb)[:, None] * nb ** (level - 1) + words).ravel()
     if not keep.all():
         kept = np.flatnonzero(keep)
         grown, words = grown.take(kept, axis=0), words.take(kept)
@@ -219,7 +226,7 @@ def _lower_levels(chain: MarkovChain, lumping: "Lumping", depth: int):
     levels = []
     for m in range(depth + 1):
         if m:
-            table, words = _prepend_blocks(table, words, slots, heads, fronts, nb ** (m - 1))
+            table, words = _prepend_blocks(table, words, slots, heads, fronts, m)
             rows, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
             ids = levels[-1][0][rows] * nb + blocks
         start = ids // nb ** m
@@ -264,18 +271,11 @@ _SCOPE: ContextVar[BlockWordLattice | None] = ContextVar("lattice_scope", defaul
 
 
 @contextmanager
-def lattice(chain: MarkovChain, lumping: "Lumping", upper_horizon: int, lower_horizon: int,
-            max_horizon: int, max_blocks: int):
+def lattice(chain: MarkovChain, lumping: "Lumping", upper_horizon: int, lower_horizon: int):
     """Yield the lattice of the enclosing ``lattice`` block if it covers this
     chain, lumping and both horizons, else a new one that calls made inside
-    this block share. The horizon and block count must pass the budget.
-    Sharing only saves passes: a lattice reads the same at every horizon it
-    covers, however deep it was built."""
-    if upper_horizon > max_horizon:
-        raise HorizonTooLarge(f"horizon {upper_horizon} exceeds cap {max_horizon}")
-    if lumping.n_blocks > max_blocks:
-        raise HorizonTooLarge(
-            f"{lumping.n_blocks} blocks exceed cap {max_blocks} for the block-word lattice")
+    this block share. Sharing only saves passes: a lattice reads the same at
+    every horizon it covers, however deep it was built."""
     lat = _SCOPE.get()
     if (lat is None or lat.chain is not chain or lat.lumping is not lumping
             or lat.upper_horizon < upper_horizon or lat.lower_horizon < lower_horizon):
@@ -287,19 +287,15 @@ def lattice(chain: MarkovChain, lumping: "Lumping", upper_horizon: int, lower_ho
         _SCOPE.reset(token)
 
 
-def lumped_block_entropy(chain: MarkovChain, lumping: "Lumping", n: int,
-                         max_horizon: int = DEFAULT_MAX_HORIZON,
-                         max_blocks: int = DEFAULT_MAX_BLOCKS) -> float:
+def lumped_block_entropy(chain: MarkovChain, lumping: "Lumping", n: int) -> float:
     """Entropy of a stationary length-n block word, by exact forward pass."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    with lattice(chain, lumping, n, 0, max_horizon, max_blocks) as lat:
+    with lattice(chain, lumping, n, 0) as lat:
         return _plogp(lat.upper(n)[1].sum(axis=1))
 
 
-def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int,
-                       max_horizon: int = DEFAULT_MAX_HORIZON,
-                       max_blocks: int = DEFAULT_MAX_BLOCKS) -> EntropyBounds:
+def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int) -> EntropyBounds:
     """Sandwich on the lumped entropy rate at horizon n.
 
     upper = H(next block | previous n blocks), lower additionally conditions
@@ -310,15 +306,14 @@ def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int,
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    with lattice(chain, lumping, n, n, max_horizon, max_blocks) as lat:
+    with lattice(chain, lumping, n, n) as lat:
         upper = _conditional_entropy(lat.upper(n)[1])
         return EntropyBounds(horizon=n, upper=upper,
                              lower=min(_conditional_entropy(lat.lower(n)[1]), upper))
 
 
-def conditional_entropy_rate_estimate(chain: MarkovChain, lumping: "Lumping", n: int,
-                                      max_horizon: int = DEFAULT_MAX_HORIZON,
-                                      max_blocks: int = DEFAULT_MAX_BLOCKS) -> LossInterval:
+def conditional_entropy_rate_estimate(chain: MarkovChain, lumping: "Lumping",
+                                      n: int) -> LossInterval:
     """Interval for the information lost per step by observing blocks only.
 
     Subtracts the horizon-n rate sandwich from the chain rate. The lower edge
@@ -326,7 +321,7 @@ def conditional_entropy_rate_estimate(chain: MarkovChain, lumping: "Lumping", n:
     can exceed the chain rate, while the true loss is never negative.
     """
     rate = chain_entropy_rate(chain)
-    bounds = lumped_rate_bounds(chain, lumping, n, max_horizon, max_blocks)
+    bounds = lumped_rate_bounds(chain, lumping, n)
     return LossInterval(horizon=n,
                         loss_lower=max(0.0, rate - bounds.upper),
                         loss_upper=float(rate - bounds.lower))

@@ -84,10 +84,10 @@ class StateSpaceTooLarge(AnalysisError):
 
 
 class HorizonTooLarge(AnalysisError):
-    """Requested horizon or block count exceeds the block-word lattice budget,
-    a word exceeds its length cap, the SFS pair tables exceed their cell
-    budget, or the loss bound's minimal block words their step budget; the
-    message names the size."""
+    """A level of a block-word pass exceeds its cell budget, word ids exceed
+    64 bits, a word exceeds its length cap, the SFS pair tables exceed their
+    cell budget, or the loss bound's minimal block words their step budget;
+    the message names the size."""
 
 
 class PreconditionViolated(AnalysisError):

@@ -39,8 +39,6 @@ import numpy as np
 
 from .chain import MarkovChain
 from .entropy import (  # noqa: F401  (lumped_forward stays importable from here)
-    DEFAULT_MAX_BLOCKS,
-    DEFAULT_MAX_HORIZON,
     _conditional_entropy,
     _plogp,
     block_entropy,
@@ -267,7 +265,7 @@ def _word_indices(lumping: Lumping, word: Iterable[str]) -> list[int]:
 
 
 def realisable_preimage(chain: MarkovChain, lumping: Lumping, word: Sequence[str],
-                        max_len: int = DEFAULT_MAX_HORIZON) -> tuple[tuple[str, ...], ...]:
+                        max_len: int = 12) -> tuple[tuple[str, ...], ...]:
     """All realisable state words with the given block image, in state order."""
     w = _word_indices(lumping, word)
     if not w:
@@ -566,9 +564,7 @@ def _check_tol(tol: float) -> None:
 
 
 def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
-                          tol: float = DEFAULT_PROB_TOL,
-                          max_horizon: int = DEFAULT_MAX_HORIZON,
-                          max_blocks: int = DEFAULT_MAX_BLOCKS) -> LumpabilityVerdict:
+                          tol: float = DEFAULT_PROB_TOL) -> LumpabilityVerdict:
     """Order-k strong lumpability via start-state independence.
 
     For every start state, block word of length k-1 and next block, all with
@@ -582,9 +578,9 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
         raise KTooSmall("strong lumpability order must be >= 1")
     _check_tol(tol)
     nb = lumping.n_blocks
-    with lattice(chain, lumping, k, k, max_horizon, max_blocks) as lat:
+    with lattice(chain, lumping, k, k) as lat:
         ids, joint = lat.lower(k)
-        bounds = lumped_rate_bounds(chain, lumping, k, max_horizon, max_blocks)
+        bounds = lumped_rate_bounds(chain, lumping, k)
     start, word = np.divmod(ids, nb ** (k - 1))
     key = word * nb + lumping.of_state[start]  # (word, start block)
     groups, block_joint = _group_rows(key, joint)
@@ -610,9 +606,7 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
 
 
 def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: int,
-                        tol: float = DEFAULT_PROB_TOL,
-                        max_horizon: int = DEFAULT_MAX_HORIZON,
-                        max_blocks: int = DEFAULT_MAX_BLOCKS) -> LumpabilityVerdict:
+                        tol: float = DEFAULT_PROB_TOL) -> LumpabilityVerdict:
     """Order-k Markov property of the stationary block process, checked for
     all conditioning lengths up to ``horizon``.
 
@@ -628,7 +622,7 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
         raise ValidationError("horizon must be >= k")
     _check_tol(tol)
     nb = lumping.n_blocks
-    with lattice(chain, lumping, horizon, 0, max_horizon, max_blocks) as lat:
+    with lattice(chain, lumping, horizon, 0) as lat:
         tables = [lat.upper(length) for length in range(1, horizon + 1)]
     ref_ids, ref = tables[k - 1]
     ref = ref / ref.sum(axis=1, keepdims=True)
@@ -814,9 +808,8 @@ def _loss_bound(chain: MarkovChain, lumping: Lumping, kappa, depth) -> LossBound
     return best[1]
 
 
-def block_entropy_bound_check(chain: MarkovChain, lumping: Lumping, n: int,
-                              max_horizon: int = DEFAULT_MAX_HORIZON,
-                              max_blocks: int = DEFAULT_MAX_BLOCKS) -> BlockEntropyBoundCheck:
+def block_entropy_bound_check(chain: MarkovChain, lumping: Lumping,
+                              n: int) -> BlockEntropyBoundCheck:
     """Uniform bound on the hidden-path entropy of short windows.
 
     Valid only while n - 2 stays below the split-merge index; outside that
@@ -827,7 +820,6 @@ def block_entropy_bound_check(chain: MarkovChain, lumping: Lumping, n: int,
         raise PreconditionViolated(
             f"n - 2 = {n - 2} reaches the split-merge index {kappa}")
     bound = 2.0 * math.log2(chain.n - lumping.n_blocks + 1)
-    actual = (block_entropy(chain, n)
-              - lumped_block_entropy(chain, lumping, n, max_horizon, max_blocks))
+    actual = block_entropy(chain, n) - lumped_block_entropy(chain, lumping, n)
     return BlockEntropyBoundCheck(horizon=n, bound=bound, actual=actual,
                                   satisfied=actual <= bound + 1e-10)

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oracles
@@ -314,6 +315,26 @@ def test_check_sfs_answers_k4_on_40_states(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["k"] == 4 and payload["holds"] is False
     assert len(payload["violation"]["block_word"]) == 3
+
+
+def test_main_answers_five_blocks_and_horizon_13(tmp_path, capsys):
+    matrix, blocks = oracles.random_sparse_chain(np.random.default_rng(14), 8, 5)
+    states = [f"s{i}" for i in range(8)]
+    path = write_model(tmp_path, {
+        "states": states, "transition_matrix": matrix,
+        "lumping": {s: f"B{b}" for s, b in zip(states, blocks)}})
+    chain, lumping = parse_model(path)
+    assert lumping.n_blocks == 5
+    report = run_analysis(chain, lumping)
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == format_report(report)
+    assert main(["analyze", path, "--format", "json"]) == 0
+    assert report_from_json(capsys.readouterr().out) == report
+
+    assert main(["bounds", model_path("lossy_strong2"), "--n", "13", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    b = lumped_rate_bounds(*parse_model(model_path("lossy_strong2")), 13)
+    assert (payload["horizon"], payload["lower"], payload["upper"]) == (13, b.lower, b.upper)
 
 
 def test_main_kappa_and_checks(capsys):

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from lumpchain import (
     reverse_chain,
     shannon_entropy,
 )
+import lumpchain.entropy as entropy_module
 from lumpchain.entropy import BlockWordLattice
 from lumpchain.errors import HorizonTooLarge, NotADistribution, ValidationError
 
@@ -222,14 +225,67 @@ def test_mass_rule_drops_jointly_light_words():
     assert check_strong_lumpable(chain, lumping, 1).strong
 
 
-def test_bounds_horizon_cap():
+def test_bounds_answer_at_horizon_13():
+    # level 13 holds at most 2^13 words x 4 states, far inside the cell budget
     ch, g = load_model("lossy_strong2")
-    with pytest.raises(HorizonTooLarge):
-        lumped_rate_bounds(ch, g, 13)
-    ident = identity_lumping(ch)
-    with pytest.raises(HorizonTooLarge):
-        lumped_rate_bounds(ch, ident, 2, max_blocks=3)
-    assert lumped_rate_bounds(ch, ident, 2, max_blocks=4).horizon == 2
+    b12, b13 = lumped_rate_bounds(ch, g, 12), lumped_rate_bounds(ch, g, 13)
+    assert b13.horizon == 13
+    assert b12.lower - 1e-12 <= b13.lower <= b13.upper <= b12.upper + 1e-12
+
+
+def test_bounds_match_enumeration_past_four_blocks():
+    matrix, blocks = oracles.random_sparse_chain(np.random.default_rng(14), 8, 5)
+    sparse = build_chain(matrix)
+    five = build_lumping(sparse, {s: f"B{b}" for s, b in zip(sparse.states, blocks)})
+    assert five.n_blocks == 5
+    ch, _ = load_model("lossy_strong2")
+    for chain, lumping in ((sparse, five), (ch, identity_lumping(ch))):
+        matrix = [list(r) for r in chain.transition]
+        mu = oracles.eliminate_stationary(matrix)
+        blocks = lumping.of_state.tolist()
+        for n in (1, 2, 3):
+            b = lumped_rate_bounds(chain, lumping, n)
+            assert b.upper == pytest.approx(
+                oracles.upper_bound_by_enumeration(matrix, mu, blocks, n), abs=1e-10)
+            assert b.lower == pytest.approx(
+                oracles.lower_bound_by_enumeration(matrix, mu, blocks, n), abs=1e-10)
+
+
+def test_forward_level_over_the_cell_budget_is_refused_before_allocating():
+    # every block word of a dense chain is live: level 12 alone would hold
+    # 4^12 words x 16 states, 2.1 GB of float64; level 10 is the first over budget
+    rng = np.random.default_rng(0)
+    weights = rng.uniform(0.5, 1.5, (16, 16))
+    chain = build_chain(weights / weights.sum(axis=1, keepdims=True))
+    labels = np.arange(16) % 4
+    rng.shuffle(labels)
+    lumping = build_lumping(chain, {s: f"B{b}" for s, b in zip(chain.states, labels)})
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(HorizonTooLarge, match=(
+                r"level 10 of the forward pass needs 1048576 x 16 = 16777216 cells, "
+                r"over the budget 4194304")):
+            lumped_rate_bounds(chain, lumping, 12)
+        elapsed = time.perf_counter() - t0
+        assert tracemalloc.get_traced_memory()[1] < 128 << 20
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+
+
+def test_backward_level_over_the_cell_budget_is_refused_before_its_product(monkeypatch):
+    # backward level 1 has 2 x (2 x 4) = 16 cells, level 2 has 4 x 8 = 32;
+    # the forward pass to horizon 1 needs 2 x 4 = 8
+    ch, g = load_model("lossy_strong2")
+    monkeypatch.setattr(entropy_module, "_LATTICE_CELL_BUDGET", 16)
+    products = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a: products.append(a) or matmul(*a))
+    with pytest.raises(HorizonTooLarge, match=(
+            "level 2 of the backward pass needs 4 x 8 = 32 cells, over the budget 16")):
+        BlockWordLattice(ch, g, 1, 3)
+    assert len(products) == 1  # level 1's product ran, level 2's did not
 
 
 def test_loss_interval_identity_is_zero():

@@ -302,6 +302,6 @@ def test_too_many_minimal_words_are_refused_before_scoring(monkeypatch):
     assert not scored
     assert split_merge_index(chain, lumping).kappa == 30
     report = run_analysis(chain, lumping, AnalysisConfig(
-        horizons=(1,), k_range=(1,), weak_horizon=1, max_blocks=lumping.n_blocks))
+        horizons=(1,), k_range=(1,), weak_horizon=1))
     assert (report.kappa, report.loss_bound) == (30, None)
     assert "entropy loss bound: refused" in format_report(report)

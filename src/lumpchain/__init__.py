@@ -13,8 +13,6 @@ from .chain import (
     MarkovChain,
     build_chain,
     check_irreducible_aperiodic,
-    k_transition_chain,
-    path_probability,
     reverse_chain,
     stationary_distribution,
 )
@@ -34,14 +32,11 @@ from .entropy import (
     blackwell_entropy_estimate,
     block_entropy,
     chain_entropy_rate,
-    conditional_entropy,
     conditional_entropy_rate_estimate,
     lumped_block_entropy,
     lumped_rate_bounds,
-    shannon_entropy,
 )
 from .lumping import (
-    BlockEntropyBoundCheck,
     LossBound,
     Lumping,
     LumpabilityCounterexample,
@@ -51,7 +46,6 @@ from .lumping import (
     SplitMergeResult,
     SplitMergeWitness,
     WeakHorizonVerdict,
-    block_entropy_bound_check,
     build_lumping,
     check_sfs,
     check_single_entry,
@@ -61,18 +55,15 @@ from .lumping import (
     identity_lumping,
     pair_depth_cap,
     preimage_count,
-    realisable_preimage,
     split_merge_index,
 )
 from .simulate import (
     GrowthCheckpoint,
     OccurrenceRateCheck,
     Trajectory,
-    TraversalStats,
     empirical_growth,
     occurrence_rate_check,
     sample_trajectory,
-    traversal_stats,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

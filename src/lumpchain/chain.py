@@ -16,7 +16,7 @@ literal nonzero entry as an edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import (
     NonStochasticRow,
     NotAperiodic,
     NotIrreducible,
-    StateSpaceTooLarge,
     UnknownState,
 )
 
@@ -88,16 +87,6 @@ class MarkovChain:
         return adj
 
     @property
-    def successors(self) -> tuple[np.ndarray, ...]:
-        """Per-state arrays of successor indices."""
-        succ = self._cache.get("successors")
-        if succ is None:
-            adj = self.adjacency
-            succ = tuple(np.flatnonzero(adj[i]) for i in range(self.n))
-            self._cache["successors"] = succ
-        return succ
-
-    @property
     def connectivity(self) -> ConnectivityReport:
         rep = self._cache.get("connectivity")
         if rep is None:
@@ -122,11 +111,6 @@ class MarkovChain:
             self._cache["stationary"] = mu
         return mu
 
-    @property
-    def start_distribution(self) -> np.ndarray:
-        """Distribution of the initial state: ``initial`` if set, else stationary."""
-        return self.initial if self.initial is not None else self.stationary
-
     def __repr__(self) -> str:
         return f"MarkovChain(n={self.n}, states={self.states!r})"
 
@@ -139,6 +123,8 @@ def build_chain(matrix, states: Sequence[str] | None = None,
     renormalised afterwards so the stored matrix satisfies the row-sum
     invariant to machine precision.
     Entries in ``(0, zero_threshold]`` are treated as structural zeros.
+    An ``initial`` vector is validated and kept as ``chain.initial``; every
+    analysis reads the stationary law instead.
     """
     P = np.array(matrix, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -286,77 +272,3 @@ def reverse_chain(chain: MarkovChain) -> MarkovChain:
     out = MarkovChain(chain.states, rev)
     out._cache["stationary"] = mu
     return out
-
-
-def k_transition_chain(chain: MarkovChain, k: int, max_states: int = 4096) -> MarkovChain:
-    """Lift to the chain on realisable length-k state words.
-
-    A word steps to another word when it shifts by one and the appended state
-    is a successor of its last state; the step probability is the original
-    one-step probability. The lifted invariant mass of a word is the path
-    probability of the word under the stationary start.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    mu = chain.stationary
-    succ = chain.successors
-    words: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]):
-        if len(prefix) == k:
-            words.append(prefix)
-            if len(words) > max_states:
-                raise StateSpaceTooLarge(
-                    f"more than {max_states} realisable length-{k} words")
-            return
-        for v in succ[prefix[-1]]:
-            extend(prefix + (int(v),))
-
-    for x in range(chain.n):
-        extend((x,))
-
-    pos = {w: i for i, w in enumerate(words)}
-    m = len(words)
-    P = chain.transition
-    lifted = np.zeros((m, m))
-    mass = np.empty(m)
-    for i, w in enumerate(words):
-        p = mu[w[0]]
-        for a, b in zip(w, w[1:]):
-            p *= P[a, b]
-        mass[i] = p
-        last = w[-1]
-        for v in succ[last]:
-            j = pos[w[1:] + (int(v),)]
-            lifted[i, j] = P[last, int(v)]
-    labels = ["|".join(chain.states[x] for x in w) for w in words]
-    out = build_chain(lifted, labels)
-    mass /= mass.sum()
-    mass.setflags(write=False)
-    out._cache["stationary"] = mass
-    return out
-
-
-def path_probability(chain: MarkovChain, path: Iterable[str], start=None) -> float:
-    """Probability of observing the exact state word.
-
-    ``start`` defaults to the chain's start distribution. The value is
-    positive iff every consecutive pair is an edge and the first state has
-    positive start mass.
-    """
-    idx = [chain.index(s) for s in path]
-    if not idx:
-        raise ValueError("path must be nonempty")
-    if start is None:
-        rho = chain.start_distribution
-    else:
-        rho = np.asarray(start, dtype=float)
-        if rho.shape != (chain.n,):
-            raise DimensionMismatch(f"start vector has shape {rho.shape}, expected ({chain.n},)")
-    p = float(rho[idx[0]])
-    P = chain.transition
-    for a, b in zip(idx, idx[1:]):
-        p *= P[a, b]
-        if p == 0.0:
-            return 0.0
-    return p

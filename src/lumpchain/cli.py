@@ -41,12 +41,17 @@ _WEAK_CAVEAT = "no claim beyond the horizon"
 def _coerce_probability(value, where: str) -> float:
     if isinstance(value, str):
         try:
-            return float(Fraction(value))
+            number = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad fraction {value!r} ({exc})") from None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ParseError(f"{where}: expected number or 'p/q' string, got {value!r}")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = value
+    else:
+        raise ParseError(f"{where}: expected number or 'p/q' string, got {value!r}")
+    try:
+        return float(number)
+    except OverflowError:
+        raise ParseError(f"{where}: {value!r} is too large for a float") from None
 
 
 def parse_model(path: str, allow_trivial: bool | None = None) -> tuple[MarkovChain, lp.Lumping]:

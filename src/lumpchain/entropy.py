@@ -14,8 +14,10 @@ block serves every start state, so building its level m costs at most
 previous level's vectors stay alive. Both passes keep only the
 (words x blocks) next-block joints of their levels, the lower one with the
 start state as the leading digit of each word id. A level is refused
-before it is allocated when its rows times their width pass
-``_LATTICE_CELL_BUDGET`` float cells, whatever the horizon or block count.
+before it is allocated when its rows times their width, added to the cells
+the pass holds (the ids and next-block joints of the levels it keeps, and
+the backward pass's live table), pass ``_LATTICE_CELL_BUDGET`` float cells,
+whatever the horizon or block count.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .chain import MarkovChain
-from .errors import HorizonTooLarge, NotADistribution, ValidationError, ZeroMassUpdate
+from .errors import HorizonTooLarge, ValidationError, ZeroMassUpdate
 
 if TYPE_CHECKING:
     from .lumping import Lumping
 
 MASS_EPS = 1e-15
-DIST_SUM_TOL = 1e-9
-_LATTICE_CELL_BUDGET = 1 << 22  # float cells of one level of either block-word pass
+_LATTICE_CELL_BUDGET = 1 << 22  # float cells one block-word pass may hold
 _BELIEF_TABLE_BUDGET = 2048  # beliefs the filter interns before it empties its table
 
 
@@ -81,28 +82,6 @@ def _plogp(p: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def shannon_entropy(dist) -> float:
-    """Entropy of a probability vector in bits."""
-    p = np.asarray(dist, dtype=float).ravel()
-    if np.any(p < 0):
-        raise NotADistribution("negative probability entry")
-    if abs(p.sum() - 1.0) > DIST_SUM_TOL:
-        raise NotADistribution(f"probabilities sum to {p.sum()!r}")
-    return _plogp(p)
-
-
-def conditional_entropy(joint) -> float:
-    """H(column variable | row variable) from a joint probability matrix."""
-    J = np.asarray(joint, dtype=float)
-    if J.ndim != 2:
-        raise NotADistribution("joint must be a matrix")
-    if np.any(J < 0):
-        raise NotADistribution("negative probability entry")
-    if abs(J.sum() - 1.0) > DIST_SUM_TOL:
-        raise NotADistribution(f"joint sums to {J.sum()!r}")
-    return _conditional_entropy(J[J.sum(axis=1) > MASS_EPS])
-
-
 def chain_entropy_rate(chain: MarkovChain) -> float:
     """Entropy rate of the chain itself: sum_x mu(x) H(P(x, .))."""
     return float(sum(chain.stationary * _block_entropies(chain.transition)))
@@ -137,13 +116,15 @@ def _check_id_width(starts: int, nb: int, n_symbols: int) -> None:
                               "overflow 64-bit word ids")
 
 
-def _check_cells(pass_name: str, level: int, rows: int, width: int) -> None:
-    """Refuse a level of a block-word pass whose rows x width float cells
-    pass ``_LATTICE_CELL_BUDGET``, before it is allocated."""
+def _check_cells(pass_name: str, level: int, rows: int, width: int, held: int) -> None:
+    """Refuse a level of a block-word pass whose rows x width float cells,
+    added to the ``held`` cells the pass keeps, pass ``_LATTICE_CELL_BUDGET``,
+    before the level is allocated."""
     cells = rows * width
-    if cells > _LATTICE_CELL_BUDGET:
+    if cells + held > _LATTICE_CELL_BUDGET:
         raise HorizonTooLarge(f"level {level} of the {pass_name} pass needs {rows} x {width} "
-                              f"= {cells} cells, over the budget {_LATTICE_CELL_BUDGET}")
+                              f"= {cells} cells beside {held} held, "
+                              f"over the budget {_LATTICE_CELL_BUDGET}")
 
 
 def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
@@ -167,7 +148,8 @@ def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
     levels = [(ids, pushed @ B)]
     for level in range(1, n_symbols + 1):
         words, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
-        _check_cells("forward", level, len(words), chain.n)
+        held = sum(i.size + j.size for i, j in levels)  # ids and next-block joints kept
+        _check_cells("forward", level, len(words), chain.n, held)
         ids, mass = ids[words] * nb + blocks, pushed[words]
         mass[lumping.of_state != blocks[:, None]] = 0.0
         pushed = mass @ P
@@ -183,12 +165,13 @@ def _conditional_entropy(joint: np.ndarray) -> float:
 
 
 def _prepend_blocks(table: np.ndarray, words: np.ndarray, slots: np.ndarray,
-                    heads: np.ndarray, fronts: np.ndarray, level: int):
+                    heads: np.ndarray, fronts: np.ndarray, level: int, held: int):
     """The backward table at ``level``, one deeper than ``table``: every
     block b in front of every word that a state of B_b starts, rows
-    ``table[:, B_b] @ P.T[B_b]`` under ids ``b * nb**(level-1) + word``."""
+    ``table[:, B_b] @ P.T[B_b]`` under ids ``b * nb**(level-1) + word``.
+    ``held`` counts the cells of the levels kept so far."""
     nb, n = len(heads), table.shape[1]
-    _check_cells("backward", level, nb * len(words), nb * n)
+    _check_cells("backward", level, nb * len(words), nb * n, held + table.size)
     keep = (table.reshape(len(words), -1) @ fronts > 0.0).T.ravel()
     grown = np.matmul(table[:, slots].transpose(1, 0, 2), heads)  # front block x rows x states
     grown = grown.reshape(nb * len(words), nb * n)
@@ -226,7 +209,8 @@ def _lower_levels(chain: MarkovChain, lumping: "Lumping", depth: int):
     levels = []
     for m in range(depth + 1):
         if m:
-            table, words = _prepend_blocks(table, words, slots, heads, fronts, m)
+            held = sum(i.size + j.size for i, j in levels)  # ids and next-block joints kept
+            table, words = _prepend_blocks(table, words, slots, heads, fronts, m, held)
             rows, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
             ids = levels[-1][0][rows] * nb + blocks
         start = ids // nb ** m

@@ -27,10 +27,6 @@ class NonStochasticRow(ValidationError):
     """Transition row does not sum to one within tolerance."""
 
 
-class NotADistribution(ValidationError):
-    """Vector or joint matrix is not a probability distribution."""
-
-
 class UnknownState(ValidationError):
     """State label not present in the chain."""
 
@@ -44,7 +40,7 @@ class BadStartVector(ValidationError):
 
 
 class EmptyPattern(ValidationError):
-    """Pattern for traversal statistics is empty."""
+    """Pattern for occurrence statistics is empty."""
 
 
 class UnrealisablePattern(ValidationError):
@@ -79,19 +75,10 @@ class NoConvergence(AnalysisError):
     """Iterative solver exhausted its budget."""
 
 
-class StateSpaceTooLarge(AnalysisError):
-    """Lifted or enumerated state space exceeds the configured cap."""
-
-
 class HorizonTooLarge(AnalysisError):
-    """A level of a block-word pass exceeds its cell budget, word ids exceed
-    64 bits, a word exceeds its length cap, the SFS pair tables exceed their
-    cell budget, or the loss bound's minimal block words their step budget;
-    the message names the size."""
-
-
-class PreconditionViolated(AnalysisError):
-    """Operation called outside its guaranteed regime."""
+    """A block-word pass exceeds its cell budget, word ids exceed 64 bits,
+    the SFS pair tables exceed their cell budget, or the loss bound's minimal
+    block words their step budget; the message names the size."""
 
 
 class ZeroMassUpdate(AnalysisError):

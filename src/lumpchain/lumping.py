@@ -38,19 +38,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .chain import MarkovChain
-from .entropy import (  # noqa: F401  (lumped_forward stays importable from here)
-    _conditional_entropy,
-    _plogp,
-    block_entropy,
-    lattice,
-    lumped_block_entropy,
-    lumped_forward,
-    lumped_rate_bounds,
-)
+from .entropy import _conditional_entropy, _plogp, lattice, lumped_rate_bounds
+from .entropy import lumped_forward  # noqa: F401  (stays importable from here)
 from .errors import (
     HorizonTooLarge,
     KTooSmall,
-    PreconditionViolated,
     TrivialLumping,
     UnknownBlock,
     UnknownState,
@@ -248,45 +240,12 @@ class LumpabilityVerdict:
     conditional_entropies: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class BlockEntropyBoundCheck:
-    horizon: int
-    bound: float
-    actual: float
-    satisfied: bool
-
-
 # ---------------------------------------------------------------------------
 # preimages
 
 
 def _word_indices(lumping: Lumping, word: Iterable[str]) -> list[int]:
     return [lumping.block_index(b) for b in word]
-
-
-def realisable_preimage(chain: MarkovChain, lumping: Lumping, word: Sequence[str],
-                        max_len: int = 12) -> tuple[tuple[str, ...], ...]:
-    """All realisable state words with the given block image, in state order."""
-    w = _word_indices(lumping, word)
-    if not w:
-        return ()
-    if len(w) > max_len:
-        raise HorizonTooLarge(f"word length {len(w)} exceeds cap {max_len}")
-    adj = chain.adjacency
-    out: list[tuple[int, ...]] = []
-
-    def extend(path: tuple[int, ...]):
-        depth = len(path)
-        if depth == len(w):
-            out.append(path)
-            return
-        for x in lumping.member_indices[w[depth]]:
-            if adj[path[-1], x]:
-                extend(path + (int(x),))
-
-    for x0 in lumping.member_indices[w[0]]:
-        extend((int(x0),))
-    return tuple(tuple(chain.states[i] for i in p) for p in out)
 
 
 def preimage_count(chain: MarkovChain, lumping: Lumping, word: Sequence[str]) -> int:
@@ -806,20 +765,3 @@ def _loss_bound(chain: MarkovChain, lumping: Lumping, kappa, depth) -> LossBound
                                    rate_lower_bound=alpha * loss,
                                    growth_constant=2.0 ** alpha))
     return best[1]
-
-
-def block_entropy_bound_check(chain: MarkovChain, lumping: Lumping,
-                              n: int) -> BlockEntropyBoundCheck:
-    """Uniform bound on the hidden-path entropy of short windows.
-
-    Valid only while n - 2 stays below the split-merge index; outside that
-    regime the call is rejected rather than reporting a vacuous comparison.
-    """
-    kappa = split_merge_index(chain, lumping).kappa
-    if n - 2 >= kappa:
-        raise PreconditionViolated(
-            f"n - 2 = {n - 2} reaches the split-merge index {kappa}")
-    bound = 2.0 * math.log2(chain.n - lumping.n_blocks + 1)
-    actual = block_entropy(chain, n) - lumped_block_entropy(chain, lumping, n)
-    return BlockEntropyBoundCheck(horizon=n, bound=bound, actual=actual,
-                                  satisfied=actual <= bound + 1e-10)

@@ -3,8 +3,7 @@
 Sampling uses numpy's seeded default generator (PCG64), which is portable
 across platforms and versions by contract, so fixed seeds reproduce byte
 identical trajectories everywhere. Occurrence statistics follow the greedy
-from-the-left selection rule for non-overlapping pattern traversals, with
-1-based instants.
+from-the-left selection rule for non-overlapping pattern traversals.
 """
 
 from __future__ import annotations
@@ -28,21 +27,6 @@ class Trajectory:
     states: tuple[str, ...]
     seed: int
     start_mode: str
-
-
-@dataclass(frozen=True)
-class TraversalStats:
-    """Instants at which a pattern occurs in a trajectory (1-based).
-
-    ``non_overlapping`` keeps the greedy, lowest-first subset of ``traversal``
-    whose elements are at least the pattern length apart; ``occupation`` is
-    populated for single-state patterns only, where it equals ``traversal``.
-    """
-
-    pattern: tuple[str, ...]
-    occupation: tuple[int, ...]
-    traversal: tuple[int, ...]
-    non_overlapping: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -132,26 +116,6 @@ def _greedy_non_overlapping(positions: np.ndarray, k: int) -> list[int]:
             chosen.append(int(p))
             blocked_until = p + k - 1
     return chosen
-
-
-def traversal_stats(trajectory, pattern: Sequence[str]) -> TraversalStats:
-    """Occurrence instants of a fixed pattern, greedy non-overlapping subset."""
-    states = trajectory.states if isinstance(trajectory, Trajectory) else tuple(trajectory)
-    pattern = tuple(pattern)
-    if not pattern:
-        raise EmptyPattern("pattern must be nonempty")
-    if len(pattern) > len(states):
-        raise ValidationError("pattern longer than trajectory")
-    k = len(pattern)
-    codes = {s: i for i, s in enumerate(sorted(set(states) | set(pattern)))}
-    seq = np.array([codes[s] for s in states], dtype=np.int64)
-    pat = np.array([codes[s] for s in pattern], dtype=np.int64)
-    traversal = tuple(int(p) + 1 for p in _match_positions(seq, pat))
-    non_overlapping = tuple(p + 1 for p in
-                            _greedy_non_overlapping(_match_positions(seq, pat), k))
-    occupation = traversal if k == 1 else ()
-    return TraversalStats(pattern=pattern, occupation=occupation,
-                          traversal=traversal, non_overlapping=non_overlapping)
 
 
 def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,

@@ -559,7 +559,7 @@ def connectivity_by_bfs(chain):
 
     n = chain.n
     adj = chain.adjacency
-    succ = chain.successors
+    succ = tuple(np.flatnonzero(adj[i]) for i in range(n))
     pred = tuple(np.flatnonzero(adj[:, j]) for j in range(n))
     fwd = _reachable(succ, 0)
     bwd = _reachable(pred, 0)

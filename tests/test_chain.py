@@ -6,9 +6,7 @@ from conftest import MODELS_DIR, load_model, raw_blocks
 from lumpchain import (
     build_chain,
     check_irreducible_aperiodic,
-    k_transition_chain,
     parse_model,
-    path_probability,
     reverse_chain,
     stationary_distribution,
 )
@@ -19,7 +17,6 @@ from lumpchain.errors import (
     NonStochasticRow,
     NotAperiodic,
     NotIrreducible,
-    StateSpaceTooLarge,
     UnknownState,
 )
 
@@ -176,83 +173,19 @@ def test_reverse_preserves_stationary(corpus_case):
     assert np.max(np.abs(rev.stationary @ rev.transition - rev.stationary)) <= 1e-10
 
 
-def test_k_transition_identity_lift():
-    ch, _ = load_model("lossy_strong2")
-    lifted = k_transition_chain(ch, 1)
-    assert lifted.states == ch.states
-    assert np.allclose(lifted.transition, ch.transition, atol=1e-15)
-
-
-def test_k_transition_two_state_full():
-    ch = build_chain([[0.3, 0.7], [0.6, 0.4]], ["u", "v"])
-    lifted = k_transition_chain(ch, 2)
-    mu = ch.stationary
-    assert lifted.n == 4
-    for w, mass in zip(lifted.states, lifted.stationary):
-        a, b = w.split("|")
-        i, j = ch.index(a), ch.index(b)
-        assert mass == pytest.approx(mu[i] * ch.transition[i, j], abs=1e-12)
-
-
-def test_k_transition_mass_marginalises():
-    ch, _ = load_model("lossy_strong2")
-    lifted = k_transition_chain(ch, 2)
-    assert lifted.stationary.sum() == pytest.approx(1.0, abs=1e-10)
-    words = oracles.realisable_words([list(r) for r in ch.transition], 2)
-    assert lifted.n == len(words)
-    marg = np.zeros(ch.n)
-    for w, mass in zip(lifted.states, lifted.stationary):
-        marg[ch.index(w.split("|")[0])] += mass
-    assert np.allclose(marg, ch.stationary, atol=1e-10)
-    assert np.max(np.abs(lifted.stationary @ lifted.transition - lifted.stationary)) <= 1e-10
-
-
-def test_k_transition_state_cap():
-    ch, _ = load_model("lossy_strong2")
-    with pytest.raises(StateSpaceTooLarge):
-        k_transition_chain(ch, 4, max_states=10)
-
-
-def test_path_probability_single_state():
-    ch, _ = load_model("lossy_strong2")
-    mu = ch.stationary
-    for i, s in enumerate(ch.states):
-        assert path_probability(ch, [s]) == pytest.approx(mu[i], abs=1e-15)
-
-
-def test_path_probability_zero_edge():
-    ch, _ = load_model("lossy_strong2")
-    assert path_probability(ch, ["1", "3"]) == 0.0
-
-
-def test_path_probability_split_merge_window():
-    ch, _ = load_model("merge_eps")
-    assert path_probability(ch, ["3", "1", "3"]) > 0
-    assert path_probability(ch, ["3", "2", "3"]) > 0
-
-
-def test_path_probability_unknown_state():
+def test_index_rejects_unknown_state():
     ch, _ = load_model("merge_hub")
+    assert ch.index("1") == 0
     with pytest.raises(UnknownState):
-        path_probability(ch, ["1", "zz"])
-
-
-def test_path_probability_positive_iff_edges(corpus_case):
-    _, chain, _, _ = corpus_case
-    rng = np.random.default_rng(7)
-    adj = chain.adjacency
-    for _ in range(50):
-        word = [int(rng.integers(chain.n)) for _ in range(4)]
-        p = path_probability(chain, [chain.states[i] for i in word])
-        edges_ok = all(adj[a, b] for a, b in zip(word, word[1:]))
-        assert (p > 0) == edges_ok
+        ch.index("zz")
 
 
 def test_initial_vector_validation():
     with pytest.raises(BadStartVector):
         build_chain([[0.5, 0.5], [0.5, 0.5]], ["u", "v"], initial=[0.5, 0.4])
     ch = build_chain([[0.5, 0.5], [0.5, 0.5]], ["u", "v"], initial=[0.9, 0.1])
-    assert path_probability(ch, ["u"]) == pytest.approx(0.9)
+    assert ch.initial.tolist() == pytest.approx([0.9, 0.1])
+    assert not ch.initial.flags.writeable
 
 
 def test_stationary_residual_on_corpus(corpus_case):

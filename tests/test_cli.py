@@ -151,6 +151,29 @@ def test_main_rejects_nan_model(tmp_path, capsys, where):
     assert err.startswith("error: ") and "non-finite" in err
 
 
+@pytest.mark.parametrize("where, named", (("matrix", r"transition_matrix\[0\]\[1\]"),
+                                          ("initial", r"initial\[1\]")))
+@pytest.mark.parametrize("value", ("1e400", 10 ** 400))
+def test_main_rejects_an_entry_too_large_for_a_float(tmp_path, capsys, where, named, value):
+    payload = {
+        "states": ["u", "v"],
+        "transition_matrix": [[0.5, 0.5], [0.5, 0.5]],
+        "lumping": {"u": "A", "v": "B"},
+        "options": {"allow_trivial_lumping": True},
+    }
+    if where == "matrix":
+        payload["transition_matrix"][0][1] = value
+    else:
+        payload["initial"] = [0.5, value]
+    path = write_model(tmp_path, payload)
+    with pytest.raises(ParseError, match=named):
+        parse_model(path)
+    assert main(["kappa", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "too large" in err
+
+
 def test_parse_model_missing_field(tmp_path):
     path = write_model(tmp_path, {"states": ["u"], "lumping": {}})
     with pytest.raises(ParseError):

@@ -14,72 +14,21 @@ from lumpchain import (
     build_lumping,
     chain_entropy_rate,
     check_strong_lumpable,
-    conditional_entropy,
     conditional_entropy_rate_estimate,
     identity_lumping,
     lumped_block_entropy,
     lumped_rate_bounds,
     reverse_chain,
-    shannon_entropy,
 )
 import lumpchain.entropy as entropy_module
 from lumpchain.entropy import BlockWordLattice
-from lumpchain.errors import HorizonTooLarge, NotADistribution, ValidationError
+from lumpchain.errors import HorizonTooLarge, ValidationError
 
 # forward/backward conditional entropies of the weakly-1-lumpable model,
 # recomputed in exact rational arithmetic (see matching oracle test below)
 WEAK_MODEL_UPPER = 0.9061103550671441
 WEAK_MODEL_LOWER = 0.5587708456507193
 WEAK_MODEL_REVERSED_LOWER = 0.904530878774441
-
-
-def test_shannon_uniform_pair():
-    assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_shannon_degenerate():
-    assert shannon_entropy([1.0, 0.0]) == 0.0
-
-
-def test_shannon_uniform_quadruple():
-    assert shannon_entropy([0.25] * 4) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_shannon_rejects_non_distribution():
-    with pytest.raises(NotADistribution):
-        shannon_entropy([0.5, 0.6])
-    with pytest.raises(NotADistribution):
-        shannon_entropy([1.5, -0.5])
-
-
-def test_conditional_entropy_independent_bits():
-    assert conditional_entropy([[0.25, 0.25], [0.25, 0.25]]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_conditional_entropy_functional_dependence():
-    assert conditional_entropy([[0.3, 0.0], [0.0, 0.7]]) == 0.0
-
-
-def test_conditional_entropy_weak_model_one_step():
-    ch, g = load_model("weak_not_strong")
-    mu = ch.stationary
-    joint = np.zeros((g.n_blocks, g.n_blocks))
-    for i in range(ch.n):
-        for j in range(ch.n):
-            joint[g.of_state[i], g.of_state[j]] += mu[i] * ch.transition[i, j]
-    value = conditional_entropy(joint)
-    assert value == pytest.approx(0.9061, abs=1e-4)
-    assert value == pytest.approx(WEAK_MODEL_UPPER, abs=1e-12)
-    assert value == pytest.approx(oracles.conditional_entropy_by_definition(joint), abs=1e-12)
-
-
-def test_conditioning_reduces_entropy():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        joint = rng.random((3, 4))
-        joint /= joint.sum()
-        marginal = joint.sum(axis=0)
-        assert conditional_entropy(joint) <= shannon_entropy(marginal) + 1e-10
 
 
 def test_chain_rate_fair_coin():
@@ -115,7 +64,8 @@ def test_chain_rate_matches_per_state_loop_on_seeded_chains(seed):
 
 def test_block_entropy_base_case(corpus_case):
     _, chain, _, _ = corpus_case
-    assert block_entropy(chain, 1) == pytest.approx(shannon_entropy(chain.stationary), abs=1e-12)
+    assert block_entropy(chain, 1) == pytest.approx(oracles.entropy_bits(chain.stationary),
+                                                    abs=1e-12)
 
 
 def test_block_entropy_iid_bits():
@@ -253,7 +203,8 @@ def test_bounds_match_enumeration_past_four_blocks():
 
 def test_forward_level_over_the_cell_budget_is_refused_before_allocating():
     # every block word of a dense chain is live: level 12 alone would hold
-    # 4^12 words x 16 states, 2.1 GB of float64; level 10 is the first over budget
+    # 4^12 words x 16 states, 2.1 GB of float64; level 9 is the first whose
+    # cells, beside the ids and next-block joints of levels 0-8, pass the budget
     rng = np.random.default_rng(0)
     weights = rng.uniform(0.5, 1.5, (16, 16))
     chain = build_chain(weights / weights.sum(axis=1, keepdims=True))
@@ -264,8 +215,8 @@ def test_forward_level_over_the_cell_budget_is_refused_before_allocating():
     t0 = time.perf_counter()
     try:
         with pytest.raises(HorizonTooLarge, match=(
-                r"level 10 of the forward pass needs 1048576 x 16 = 16777216 cells, "
-                r"over the budget 4194304")):
+                r"level 9 of the forward pass needs 262144 x 16 = 4194304 cells "
+                r"beside 436905 held, over the budget 4194304")):
             lumped_rate_bounds(chain, lumping, 12)
         elapsed = time.perf_counter() - t0
         assert tracemalloc.get_traced_memory()[1] < 128 << 20
@@ -275,17 +226,33 @@ def test_forward_level_over_the_cell_budget_is_refused_before_allocating():
 
 
 def test_backward_level_over_the_cell_budget_is_refused_before_its_product(monkeypatch):
-    # backward level 1 has 2 x (2 x 4) = 16 cells, level 2 has 4 x 8 = 32;
-    # the forward pass to horizon 1 needs 2 x 4 = 8
+    # backward level 1 has 2 x (2 x 4) = 16 cells beside 20 held (level 0's
+    # 4 ids and 4 x 2 joint, and the 2 x (2 x 4) live table), 36 in all;
+    # level 2 has 4 x 8 = 32 beside 49; the forward pass to horizon 1 needs 11
     ch, g = load_model("lossy_strong2")
-    monkeypatch.setattr(entropy_module, "_LATTICE_CELL_BUDGET", 16)
+    monkeypatch.setattr(entropy_module, "_LATTICE_CELL_BUDGET", 36)
     products = []
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *a: products.append(a) or matmul(*a))
     with pytest.raises(HorizonTooLarge, match=(
-            "level 2 of the backward pass needs 4 x 8 = 32 cells, over the budget 16")):
+            "level 2 of the backward pass needs 4 x 8 = 32 cells beside 49 held, "
+            "over the budget 36")):
         BlockWordLattice(ch, g, 1, 3)
     assert len(products) == 1  # level 1's product ran, level 2's did not
+
+
+@pytest.mark.parametrize("upper, lower", [(50, 0), (0, 50)])
+def test_a_pass_is_refused_before_its_kept_levels_pass_the_budget(upper, lower):
+    # the live words of lossy_strong2 double per level: each level alone fits
+    # the budget up to level 20, but the levels a pass keeps pass it sooner
+    ch, g = load_model("lossy_strong2")
+    tracemalloc.start()
+    try:
+        with pytest.raises(HorizonTooLarge, match=r"cells beside \d+ held"):
+            BlockWordLattice(ch, g, upper, lower)
+        assert tracemalloc.get_traced_memory()[1] < 128 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_loss_interval_identity_is_zero():

@@ -8,7 +8,6 @@ from lumpchain import (
     identity_lumping,
     occurrence_rate_check,
     sample_trajectory,
-    traversal_stats,
 )
 from lumpchain.errors import (
     BadStartVector,
@@ -87,47 +86,6 @@ def test_occurrence_rate_rejects_no_seeds():
         occurrence_rate_check(ch, (ch.states[0],), 100, [])
 
 
-def test_traversal_trajectory_equals_pattern():
-    stats = traversal_stats(("a", "b"), ("a", "b"))
-    assert stats.non_overlapping == (1,)
-    assert stats.traversal == (1,)
-
-
-def test_traversal_greedy_rule():
-    stats = traversal_stats(("a", "a", "a", "a"), ("a", "a"))
-    assert stats.traversal == (1, 2, 3)
-    assert stats.non_overlapping == (1, 3)
-    assert stats.occupation == ()
-
-
-def test_traversal_single_state_occupation():
-    stats = traversal_stats(("a", "b", "a"), ("a",))
-    assert stats.occupation == stats.traversal == stats.non_overlapping == (1, 3)
-
-
-def test_traversal_rejects_bad_patterns():
-    with pytest.raises(EmptyPattern):
-        traversal_stats(("a", "b"), ())
-    with pytest.raises(ValidationError):
-        traversal_stats(("a",), ("a", "b"))
-
-
-def test_traversal_invariants_fuzzed(corpus_case):
-    _, chain, _, _ = corpus_case
-    rng = np.random.default_rng(31)
-    for seed in range(20):
-        traj = sample_trajectory(chain, 400, seed=seed)
-        k = int(rng.integers(1, 4))
-        start = int(rng.integers(0, 400 - k))
-        pattern = traj.states[start:start + k]
-        stats = traversal_stats(traj, pattern)
-        assert set(stats.non_overlapping) <= set(stats.traversal)
-        assert len(stats.non_overlapping) >= len(stats.traversal) / k
-        gaps = np.diff(stats.non_overlapping)
-        assert np.all(gaps >= k)
-        assert (start + 1) in stats.traversal
-
-
 def test_occupation_frequency_matches_stationary():
     ch, _ = load_model("merge_hub")
     mu = ch.stationary
@@ -135,7 +93,7 @@ def test_occupation_frequency_matches_stationary():
     rates = []
     for seed in range(5):
         traj = sample_trajectory(ch, n, seed=seed)
-        rates.append(len(traversal_stats(traj, ("3",)).occupation) / n)
+        rates.append(traj.states.count("3") / n)
     se = np.std(rates, ddof=1) / np.sqrt(len(rates))
     assert abs(np.mean(rates) - mu[ch.index("3")]) <= 3 * se + 1e-3
 
@@ -190,9 +148,14 @@ def test_occurrence_rate_forced_pattern():
     # conditional continuation probability is one, so the bound is mu(1)/2
     assert res.bound == pytest.approx(ch.stationary[ch.index("1")] / 2, abs=1e-12)
     assert res.passed
+    # "uuuuu" holds ("u", "u") at instants 1-4; the greedy rule keeps 1 and 3
+    loop = build_chain([[1.0]], ["u"])
+    assert occurrence_rate_check(loop, ("u", "u"), 5, seeds=(0,)).per_seed == (2 / 5,)
 
 
 def test_occurrence_rate_rejects_unrealisable():
     ch, _ = load_model("lossy_strong2")
     with pytest.raises(UnrealisablePattern):
         occurrence_rate_check(ch, ("1", "3"), 100, seeds=(0,))
+    with pytest.raises(EmptyPattern):
+        occurrence_rate_check(ch, (), 100, seeds=(0,))

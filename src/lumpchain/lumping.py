@@ -13,8 +13,12 @@ irreducible chain coincides with positive stationary path probability.
 
 The split-merge index and the loss bound read one kernel: the levels of the
 same-block state pairs on minimal pair paths, one ``(n x n)`` small-int
-matrix from a forward search and a backward sweep, O(depth * n^3) time at
-worst with the depth at most ``pair_depth_cap``. A greedy walk over it gives
+matrix from a forward search and a backward sweep. Both hold a level only on
+the block diagonal, cut into chunks of whole blocks of at least 2 sqrt(n)
+states, and a level costs 2 * rows * sum |C|^2 multiply-adds over the chunks
+C it reaches: O(depth * n^2 * (b + sqrt(n))) time at worst for a largest
+block of b states, with the depth at most ``pair_depth_cap``, and Python work
+in proportion to the chunks touched. A greedy walk over it gives
 the index's witness, a search over block words the loss bound's windows,
 which are scored a word at once with semiring products over the word's
 transition blocks, O(words * rows * sum |B_i| |B_{i+1}|) for ``rows`` check
@@ -31,6 +35,7 @@ time, and no verdict enumerates state paths. The single-entry check is one
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -283,53 +288,114 @@ def pair_depth_cap(lumping: Lumping) -> int:
     return sum(len(m) * (len(m) - 1) for m in lumping.member_indices)
 
 
+def _chunk_states(chunks: list[int], spans):
+    """The renumbered states of sorted chunks: a slice when they are consecutive."""
+    if chunks[-1] - chunks[0] == len(chunks) - 1:
+        return slice(spans[chunks[0]][0], spans[chunks[-1]][1])
+    return np.concatenate([np.arange(*spans[c]) for c in chunks])
+
+
+def _chunk_pairs(chunks, X, G, spans, depth, want):
+    """For each chunk, the pairs that ``X.T @ G`` joins on its diagonal square
+    and whose depth is ``want``; X and G hold the chunks' states as columns,
+    in order."""
+    level, at = [], 0
+    for c in chunks:
+        s, e = spans[c]
+        F = (X[:, at:at + e - s].T @ G[:, at:at + e - s] > 0) & (depth[s:e, s:e] == want)
+        at += e - s
+        if F.any():
+            level.append((c, F))
+    return level
+
+
+def _pair_step(X, level, spans, reach, depth, want):
+    """The pairs one step of ``X`` away from a level's pairs whose depth is
+    ``want``: ``G = blockdiag(F) @ X``, one product per chunk of the level,
+    then ``X.T @ G`` on the square of each chunk that ``reach`` says the
+    level's chunks step into."""
+    touched = sorted(set().union(*(reach[c] for c, _ in level)))
+    X = X[_chunk_states([c for c, _ in level], spans)][:, _chunk_states(touched, spans)]
+    G = np.empty_like(X)
+    at = 0
+    for _, F in level:
+        np.matmul(F.astype(np.float32), X[at:at + len(F)], out=G[at:at + len(F)])
+        at += len(F)
+    return _chunk_pairs(touched, X, G, spans, depth, want)
+
+
 def _pair_levels(chain: MarkovChain, lumping: Lumping):
     """Split-merge index and the level of every pair on a minimal pair path.
 
     A pair (u, v) of distinct same-block states stands for two parallel state
     paths with one block word. Start pairs have a common predecessor, end
     pairs a common successor, and the index is the length of the shortest
-    pair path from a start to an end pair. A forward search on ``(n x n)``
-    boolean matrices labels each pair with its distance from the starts, one
-    level of unvisited pairs per step, so within ``pair_depth_cap`` levels;
-    a backward sweep from the end pairs then clears every pair that leads to
-    none. So ``depth[u, v] = d > 0`` iff (u, v) is the d-th pair of a minimal
-    pair path, and ``depth`` is symmetric.
+    pair path from a start to an end pair. A forward search labels each pair
+    with its distance from the starts, one level of unvisited pairs per step,
+    so within ``pair_depth_cap`` levels; a backward sweep from the end pairs
+    then clears every pair that leads to none. So ``depth[u, v] = d > 0`` iff
+    (u, v) is the d-th pair of a minimal pair path, and ``depth`` is
+    symmetric.
+
+    Only the block diagonal holds pairs. The states are renumbered block by
+    block and the blocks merged, in order, into chunks of at least 2 sqrt(n)
+    states, so a chunk is a square on the diagonal; a larger block is a chunk
+    of its own, and many small blocks share one product masked to their
+    same-block pairs. A level is a boolean matrix for each chunk it touches.
+    A step multiplies each by its rows of the adjacency (its transpose going
+    back), then forms ``X.T @ G`` on each chunk those rows reach: per level
+    2 * rows * sum |C|^2 multiply-adds over the chunks C reached, ``rows``
+    being the states of the level's chunks, and Python work in proportion to
+    the chunks touched. Peak memory is the float32 adjacency (4 n^2 bytes),
+    the levels' ``(n x n)`` small ints and one step's rows of the adjacency,
+    G and chunk products (4 n^2 bytes each at most): about 2 *
+    ``chain.transition.nbytes`` (16 n^2 bytes), pinned on 300 states.
     """
-    A = chain.adjacency.astype(np.float32)  # a sum of non-negative terms is > 0 iff one is
-    of_state = lumping.of_state
-    pairs = (of_state[:, None] == of_state[None, :]) & ~np.eye(chain.n, dtype=bool)
-    ends = pairs & (A @ A.T > 0)
-    frontier = pairs & (A.T @ A > 0)
+    n = chain.n
+    cuts = [0]
+    for end in itertools.accumulate(map(len, lumping.member_indices)):
+        if end - cuts[-1] >= 2 * math.sqrt(n) or end == n:
+            cuts.append(end)
+    spans = list(zip(cuts, cuts[1:]))
+    order = np.concatenate(lumping.member_indices)
+    A = chain.adjacency[order][:, order].astype(np.float32)  # a sum of non-negative terms is > 0 iff one is
     level_type = np.min_scalar_type(-pair_depth_cap(lumping) - 1)  # signed, small: less peak memory
-    depth = np.zeros((chain.n, chain.n), dtype=level_type)
+    apart = np.iinfo(level_type).max  # never a level: marks the cells of a chunk that are no pair
+    depth = np.zeros((n, n), dtype=level_type)  # only the chunks' squares are read
+    np.fill_diagonal(depth, apart)
+    block = lumping.of_state[order]
+    for s, e in spans:
+        if block[s] != block[e - 1]:
+            depth[s:e, s:e][block[s:e, None] != block[None, s:e]] = apart
+    level = _chunk_pairs(range(len(spans)), A, A, spans, depth, 0)  # one step from every (x, x)
+    ends = [A[s:e] @ A[s:e].T > 0 for s, e in spans]  # pairs with a common successor
     kappa = 1
-    while frontier.any():
-        depth[frontier] = kappa
-        if (frontier & ends).any():
+    while level:
+        keep = [(c, K) for c, F in level if (K := F & ends[c]).any()]
+        if keep:  # the last level: the sweep below writes its kept pairs alone
             break
-        rows, cols = frontier.any(axis=1), frontier.any(axis=0)  # thin levels stay cheap
-        step = A[rows].T @ frontier[np.ix_(rows, cols)] @ A[cols]  # = A.T @ frontier @ A
-        frontier = pairs & (depth == 0) & (step > 0)
+        for c, F in level:
+            s, e = spans[c]
+            depth[s:e, s:e][F] = kappa
+        if kappa == 1:  # the chunks each chunk's states step into, forward and back
+            graph = np.add.reduceat(np.add.reduceat(A, cuts[:-1], axis=0), cuts[:-1], axis=1) > 0
+            succ, pred = ([np.flatnonzero(g).tolist() for g in m] for m in (graph, graph.T))
+        level = _pair_step(A, level, spans, succ, depth, 0)
         kappa += 1
     else:
         return math.inf, None
     # kept pairs get their level negated; each level looks only at predecessors
-    keep = frontier & ends
-    on = np.flatnonzero(keep.any(axis=1))  # = keep.any(axis=0): the pairs are symmetric
-    keep = keep[np.ix_(on, on)]
     for d in range(kappa, 0, -1):
-        r, c = np.nonzero(keep)
-        depth[on[r], on[c]] = -d
+        for c, K in keep:
+            s, e = spans[c]
+            depth[s:e, s:e][K] = -d
         if d > 1:
-            to = np.flatnonzero(A[:, on].any(axis=1))
-            T = A[np.ix_(to, on)]
-            keep = (depth[np.ix_(to, to)] == d - 1) & (T @ keep @ T.T > 0)
-            kept = keep.any(axis=1)
-            on, keep = to[kept], keep[np.ix_(kept, kept)]
-    depth[depth > 0] = 0
+            keep = _pair_step(A.T, keep, spans, pred, depth, d - 1)
     np.negative(depth, out=depth)
-    return kappa, depth
+    np.maximum(depth, 0, out=depth)  # 0 for pairs off the minimal paths and for no pair
+    at = np.argsort(order)
+    depth = depth[at]  # back to the chain's state order, one axis at a time
+    return kappa, depth[:, at]
 
 
 def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:

@@ -11,6 +11,8 @@ window. Each pair must agree in ``repr()``: same witness, same floats; and
 the pair levels must be the positions of the pairs on those pair paths.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,77 @@ def test_matches_oracle_on_lattice_shapes(seed, n_states, n_blocks, extra_edges)
 @pytest.mark.parametrize("n_states,n_blocks", ((100, 2), (200, 3), (300, 4)))
 def test_matches_oracle_on_pairs_shapes(n_states, n_blocks):
     assert_matches_oracle(*bench_case(n_states, n_blocks))
+
+
+def layout_instance(seed, blocks, extra_edges=2):
+    """Seeded sparse chain on ``len(blocks)`` states with the given lumping."""
+    rng = np.random.default_rng([seed, len(blocks)])
+    matrix, _ = oracles.random_sparse_chain(rng, len(blocks), 1, extra_edges)
+    chain = build_chain(matrix, [str(i) for i in range(len(blocks))])
+    return chain, build_lumping(chain, {str(i): f"b{b}" for i, b in enumerate(blocks)})
+
+
+def private_successor_chain(n_states, n_blocks, seed=0):
+    """Chain whose same-block states never share a successor.
+
+    Each block deals a permutation of all states to its members, ``n_blocks``
+    apiece, so no two paths of one block word merge again: the index is
+    infinite and the pair search visits every reachable same-block pair.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = np.arange(n_states) % n_blocks
+    rng.shuffle(blocks)
+    matrix = np.zeros((n_states, n_states))
+    for b in range(n_blocks):
+        members = np.flatnonzero(blocks == b)
+        successors = rng.permutation(n_states).reshape(len(members), n_blocks)
+        matrix[members[:, None], successors] = 1.0 / n_blocks
+    chain = build_chain(matrix, [str(i) for i in range(n_states)])
+    return chain, build_lumping(chain, {str(i): f"b{b}" for i, b in enumerate(blocks)})
+
+
+def big_and_pair_blocks(seed, big, pairs):
+    """Sparse chain with one block of ``big`` states and ``pairs`` two-state
+    blocks, shuffled over the states."""
+    blocks = np.array([0] * big + [1 + i // 2 for i in range(2 * pairs)])
+    np.random.default_rng(seed).shuffle(blocks)
+    return layout_instance(seed, blocks.tolist())
+
+
+# block layouts the pair search cuts into chunks differently, with their
+# indices: a block past the chunk size beside singletons, many two-state
+# blocks on a deep path, blocks interleaved in state order, every pair
+# visited, a single pair
+BLOCK_LAYOUTS = {
+    "block40-and-singletons": (lambda: layout_instance(0, [0] * 40 + list(range(1, 11))), 1),
+    "two-branches-40": (lambda: two_branch_chain(40), 40),
+    "interleaved-blocks": (lambda: layout_instance(8, [i % 3 for i in range(30)], 1), 7),
+    "private-successors": (lambda: private_successor_chain(12, 3), np.inf),
+    "single-pair": (lambda: layout_instance(7, [0, 1, 2, 3, 4, 5, 6, 7, 8, 3]), 1),
+}
+
+
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+def test_matches_oracle_on_block_layouts(layout):
+    make, kappa = BLOCK_LAYOUTS[layout]
+    chain, lumping = make()
+    assert_matches_oracle(chain, lumping)
+    assert split_merge_index(chain, lumping).kappa == kappa
+
+
+@pytest.mark.parametrize("instance", (lambda: private_successor_chain(300, 4),
+                                      lambda: big_and_pair_blocks(3, 150, 75)),
+                         ids=("private-successors-300", "block150-and-75-pairs"))
+def test_pair_search_peak_memory(instance):
+    chain, lumping = instance()
+    assert chain.adjacency.any()  # cached before tracing, as in an analysis
+    tracemalloc.start()
+    try:
+        lumping_module._pair_levels(chain, lumping)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * chain.transition.nbytes
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,6 @@ from .chain import (
     build_chain,
     check_irreducible_aperiodic,
     reverse_chain,
-    stationary_distribution,
 )
 from .cli import (
     AnalysisConfig,

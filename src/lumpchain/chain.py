@@ -26,7 +26,6 @@ from .errors import (
     NegativeEntry,
     NoConvergence,
     NonStochasticRow,
-    NotAperiodic,
     NotIrreducible,
     UnknownState,
 )
@@ -99,14 +98,19 @@ class MarkovChain:
         """Invariant distribution; requires irreducibility.
 
         Solved once at ``STATIONARY_TOL`` and cached; every analysis reads
-        this vector. Unlike :func:`stationary_distribution` it accepts
-        periodic chains and does not check the residual of the solve.
+        this vector. Periodic chains are accepted: an irreducible chain has a
+        unique invariant vector whatever its period, which
+        ``connectivity.aperiodic`` reports. Raises NoConvergence when the
+        residual ``max |mu P - mu|`` of the solve exceeds 1e-10.
         """
         mu = self._cache.get("stationary")
         if mu is None:
             if not self.connectivity.irreducible:
                 raise NotIrreducible("stationary distribution needs an irreducible chain")
             mu = _solve_stationary(self.transition, STATIONARY_TOL)
+            resid = np.max(np.abs(mu @ self.transition - mu))
+            if resid > 1e-10:
+                raise NoConvergence(f"stationary residual {resid!r} above tolerance")
             mu.setflags(write=False)
             self._cache["stationary"] = mu
         return mu
@@ -201,31 +205,6 @@ def _solve_stationary(P: np.ndarray, tol: float) -> np.ndarray:
             return nxt
         mu = nxt
     raise NoConvergence("power iteration exhausted its budget")
-
-
-def stationary_distribution(chain: MarkovChain, tol: float = STATIONARY_TOL,
-                            require_aperiodic: bool = True) -> np.ndarray:
-    """Invariant distribution of an irreducible chain.
-
-    Raises NotIrreducible or, by default, NotAperiodic for periodic chains.
-    Irreducible periodic chains still have a unique invariant vector; pass
-    ``require_aperiodic=False`` to obtain it.
-
-    It solves like :attr:`MarkovChain.stationary`, with a caller-chosen
-    ``tol`` and no cache, and adds two checks that the property leaves out:
-    the periodicity check above, and a residual check that raises
-    NoConvergence when ``max |mu P - mu|`` exceeds ``max(tol, 1e-10)``.
-    """
-    rep = chain.connectivity
-    if not rep.irreducible:
-        raise NotIrreducible("chain is not irreducible")
-    if require_aperiodic and not rep.aperiodic:
-        raise NotAperiodic(f"chain has period {rep.period}")
-    mu = _solve_stationary(chain.transition, tol)
-    resid = np.max(np.abs(mu @ chain.transition - mu))
-    if resid > max(tol, 1e-10):
-        raise NoConvergence(f"stationary residual {resid!r} above tolerance")
-    return mu
 
 
 def _levels(adj: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 All values are in bits (binary logarithm) with the convention 0*log2(0) = 0.
 Quantities over lumped words are exact: :func:`lumped_forward` pushes the
 joint mass of block words and hidden state through the transition matrix,
-and every block-word quantity reads its tables via a :class:`BlockWordLattice`.
+and every block-word quantity reads its tables via a :class:`BlockWordLattice`,
+which also scores H(next block | level) once for each level it builds.
 Mass rule: a word of joint mass at most ``MASS_EPS``, counting its start
 state's stationary weight, is dropped with all its extensions.
 
@@ -128,23 +129,23 @@ def _check_cells(pass_name: str, level: int, rows: int, width: int, held: int) -
 
 
 def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
-                   n_symbols: int, first_is_current: bool) -> WordTable:
+                   n_symbols: int, first_is_current: bool = True) -> WordTable:
     """Joint mass over the hidden state of every live length-``n_symbols`` word.
 
-    ``rho`` is the state mass at time 0. With ``first_is_current`` the word
-    starts with the block of the time-0 state; otherwise every symbol costs
-    one transition. Words are dropped by the mass rule as they are built.
-    A 2-D ``rho`` runs one pass per row at once: the row index is the leading
-    digit of every word id, so the rows stay in (row, word) order.
+    ``rho`` is the state mass at time 0, and every word starts with the
+    block of the time-0 state; that is the pass's only mode, so
+    ``first_is_current`` must be True. Words are dropped by the mass rule as
+    they are built.
     """
+    if not first_is_current:
+        raise ValidationError("a block word starts with the block of the time-0 state")
     nb = lumping.n_blocks
-    mass = np.atleast_2d(np.asarray(rho, dtype=float))
-    _check_id_width(len(mass), nb, n_symbols)
+    _check_id_width(1, nb, n_symbols)
     P = chain.transition
     B = lumping.indicator
+    mass = np.asarray(rho, dtype=float)[None, :]
     live = mass.sum(axis=1) > MASS_EPS  # the empty word obeys the mass rule too
-    ids, mass = np.arange(len(mass), dtype=np.int64)[live], mass[live]
-    pushed = mass if first_is_current else mass @ P
+    ids, pushed = np.zeros(1, dtype=np.int64)[live], mass[live]
     levels = [(ids, pushed @ B)]
     for level in range(1, n_symbols + 1):
         words, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
@@ -231,15 +232,18 @@ class BlockWordLattice:
     each level is built once for all start states and read at the live
     ones, so the pass costs the realisable words times n^2, not the live
     (start, word) pairs times n^2. Every level is kept, so a horizon reads
-    the same numbers whatever depth the lattice was built to.
+    the same numbers whatever depth the lattice was built to. Each level's
+    H(next block | level) is computed once, as the lattice is built.
     """
 
     def __init__(self, chain: MarkovChain, lumping: "Lumping",
                  upper_horizon: int, lower_horizon: int):
         self.chain, self.lumping = chain, lumping
         self.upper_horizon, self.lower_horizon = upper_horizon, lower_horizon
-        self._upper = lumped_forward(chain, lumping, chain.stationary, upper_horizon, True).levels
+        self._upper = lumped_forward(chain, lumping, chain.stationary, upper_horizon).levels
         self._lower = _lower_levels(chain, lumping, lower_horizon - 1) if lower_horizon else ()
+        self._upper_entropy = tuple(_conditional_entropy(joint) for _, joint in self._upper)
+        self._lower_entropy = tuple(_conditional_entropy(joint) for _, joint in self._lower)
 
     def upper(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids of the live h-words and their joint with the next block."""
@@ -249,6 +253,14 @@ class BlockWordLattice:
         """Ids ``start * nb**(h-1) + word`` of the live (start state,
         (h-1)-word) pairs, in that order, and their joint with the next block."""
         return self._lower[h - 1]
+
+    def upper_entropy(self, h: int) -> float:
+        """H(next block | the previous h blocks)."""
+        return self._upper_entropy[h]
+
+    def lower_entropy(self, h: int) -> float:
+        """H(next block | the start state and the h - 1 blocks after it)."""
+        return self._lower_entropy[h - 1]
 
 
 _SCOPE: ContextVar[BlockWordLattice | None] = ContextVar("lattice_scope", default=None)
@@ -291,24 +303,25 @@ def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int) -> Entrop
     if n < 1:
         raise ValidationError("n must be >= 1")
     with lattice(chain, lumping, n, n) as lat:
-        upper = _conditional_entropy(lat.upper(n)[1])
-        return EntropyBounds(horizon=n, upper=upper,
-                             lower=min(_conditional_entropy(lat.lower(n)[1]), upper))
+        upper = lat.upper_entropy(n)
+        return EntropyBounds(horizon=n, upper=upper, lower=min(lat.lower_entropy(n), upper))
 
 
 def conditional_entropy_rate_estimate(chain: MarkovChain, lumping: "Lumping",
                                       n: int) -> LossInterval:
     """Interval for the information lost per step by observing blocks only.
 
-    Subtracts the horizon-n rate sandwich from the chain rate. The lower edge
-    is clamped at zero: at small horizons the upper bound on the lumped rate
-    can exceed the chain rate, while the true loss is never negative.
+    Subtracts the horizon-n rate sandwich from the chain rate. Both edges are
+    clamped at zero, since the true loss is never negative: at small
+    horizons the upper bound on the lumped rate can exceed the chain rate,
+    and where no information is lost the lower bound can pass it by an ulp.
+    The edges keep their order, as the lower bound never exceeds the upper.
     """
     rate = chain_entropy_rate(chain)
     bounds = lumped_rate_bounds(chain, lumping, n)
     return LossInterval(horizon=n,
                         loss_lower=max(0.0, rate - bounds.upper),
-                        loss_upper=float(rate - bounds.lower))
+                        loss_upper=max(0.0, rate - bounds.lower))
 
 
 _BLACKWELL_CAVEAT = ("time average assumes the belief process is ergodic; "

@@ -67,10 +67,6 @@ class NotIrreducible(AnalysisError):
     """Transition graph is not strongly connected."""
 
 
-class NotAperiodic(AnalysisError):
-    """Chain is periodic."""
-
-
 class NoConvergence(AnalysisError):
     """Iterative solver exhausted its budget."""
 

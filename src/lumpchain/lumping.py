@@ -30,7 +30,8 @@ The single forward k-sequence check builds backward tables over the same
 pairs, diagonal included, with two ``(n x n)`` products per level, and a
 greedy walk over them rebuilds the first violating state sequence: O(k * n^3)
 time, and no verdict enumerates state paths. The single-entry check is one
-``(n x blocks)`` count product.
+``(n x blocks)`` count product. The weak and strong checks read the tables
+and per-level entropies of one block-word lattice (``entropy.lattice``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .chain import MarkovChain
-from .entropy import _conditional_entropy, _plogp, lattice, lumped_rate_bounds
+from .entropy import _plogp, lattice, lumped_rate_bounds
 from .entropy import lumped_forward  # noqa: F401  (stays importable from here)
 from .errors import (
     HorizonTooLarge,
@@ -575,12 +576,11 @@ def check_sfs(chain: MarkovChain, lumping: Lumping, k: int) -> SfsResult:
 # higher-order lumpability
 
 
-def _group_rows(keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys and the sum of the rows sharing each."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    out = np.zeros((len(uniq), rows.shape[1]))
-    np.add.at(out, inv, rows)
-    return uniq, out
+def _lookup(ids: np.ndarray, rows: np.ndarray, keys: np.ndarray):
+    """The rows of a level whose ids are ``keys``, and whether each is
+    present: a key the mass rule dropped gets a neighbour's row and False."""
+    at = np.searchsorted(ids, keys).clip(max=len(ids) - 1)
+    return rows[at], ids[at] == keys
 
 
 def _check_tol(tol: float) -> None:
@@ -594,10 +594,12 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
 
     For every start state, block word of length k-1 and next block, all with
     positive joint mass, the next-block conditional given the exact start
-    state must equal the conditional given only the start block. The witness
-    is the first violation by (word, start block, start state, next block).
-    The verdict also reports the horizon-k rate bounds, which agree to
-    rounding when the check passes.
+    state must equal the conditional given only the start block. Both come
+    from one lattice: the first from its lower table at horizon k, the
+    second from its upper one, the k-word of the start block and the word.
+    The witness is the first violation by (word, start block, start state,
+    next block). The verdict also reports the horizon-k rate bounds, which
+    agree to rounding when the check passes.
     """
     if k < 1:
         raise KTooSmall("strong lumpability order must be >= 1")
@@ -605,17 +607,20 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
     nb = lumping.n_blocks
     with lattice(chain, lumping, k, k) as lat:
         ids, joint = lat.lower(k)
+        block_ids, block_joint = lat.upper(k)
         bounds = lumped_rate_bounds(chain, lumping, k)
     start, word = np.divmod(ids, nb ** (k - 1))
-    key = word * nb + lumping.of_state[start]  # (word, start block)
-    groups, block_joint = _group_rows(key, joint)
-    block_cond = (block_joint / block_joint.sum(axis=1, keepdims=True))[
-        np.searchsorted(groups, key)]
+    block = lumping.of_state[start]
+    block_cond, present = _lookup(
+        block_ids, block_joint / block_joint.sum(axis=1, keepdims=True),
+        block * nb ** (k - 1) + word)
     cond = joint / joint.sum(axis=1, keepdims=True)
-    bad_row, bad_y = np.nonzero((cond > 0.0) & (np.abs(cond - block_cond) > tol))
+    # a start block's word is at least as heavy as the word from one state in it
+    bad_row, bad_y = np.nonzero((cond > 0.0) & (np.abs(cond - block_cond) > tol)
+                                & present[:, None])
     witness = None
     if bad_row.size:
-        first = np.lexsort((bad_y, start[bad_row], key[bad_row]))[0]
+        first = np.lexsort((bad_y, start[bad_row], block[bad_row], word[bad_row]))[0]
         r, y = bad_row[first], bad_y[first]
         witness = LumpabilityCounterexample(
             conditioning=(chain.states[start[r]],) + tuple(
@@ -649,16 +654,15 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
     nb = lumping.n_blocks
     with lattice(chain, lumping, horizon, 0) as lat:
         tables = [lat.upper(length) for length in range(1, horizon + 1)]
+        entropies = tuple(lat.upper_entropy(length) for length in range(1, horizon + 1))
     ref_ids, ref = tables[k - 1]
     ref = ref / ref.sum(axis=1, keepdims=True)
     witness = None
     for length, (ids, joint) in enumerate(tables[k:], start=k + 1):
         cond = joint / joint.sum(axis=1, keepdims=True)
-        suffix = ids % nb ** k
-        at = np.searchsorted(ref_ids, suffix).clip(max=len(ref_ids) - 1)
-        short = ref[at]
+        short, present = _lookup(ref_ids, ref, ids % nb ** k)
         # a suffix is at least as heavy as its word; skip one dropped by rounding
-        bad = (np.abs(cond - short) > tol) & (ref_ids[at] == suffix)[:, None]
+        bad = (np.abs(cond - short) > tol) & present[:, None]
         if bad.any():
             r, y = divmod(int(np.argmax(bad)), nb)  # first in (word, symbol) order
             witness = LumpabilityCounterexample(
@@ -672,7 +676,7 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
         order_k=k,
         weak_up_to_horizon=WeakHorizonVerdict(verdict=witness is None, horizon=horizon),
         witness=witness,
-        conditional_entropies=tuple(_conditional_entropy(j) for _, j in tables))
+        conditional_entropies=entropies)
 
 
 # ---------------------------------------------------------------------------

@@ -634,8 +634,7 @@ def strong_verdict_by_start(chain, lumping, k, tol=1e-9):
     """``check_strong_lumpable`` as first written over the per-start tables:
     the start digit comes from ``np.repeat`` and the rows from
     ``np.concatenate``; the bounds from ``rate_bounds_by_start``."""
-    from lumpchain.lumping import (LumpabilityCounterexample, LumpabilityVerdict,
-                                   _group_rows)
+    from lumpchain.lumping import LumpabilityCounterexample, LumpabilityVerdict
 
     nb = lumping.n_blocks
     per_start = [levels[k - 1] for levels in lower_levels_by_start(chain, lumping, k)]
@@ -643,7 +642,9 @@ def strong_verdict_by_start(chain, lumping, k, tol=1e-9):
     start = np.repeat(np.arange(chain.n), [len(ids) for ids, _ in per_start])
     word, joint = (np.concatenate(parts) for parts in zip(*per_start))
     key = word * nb + lumping.of_state[start]  # (word, start block)
-    groups, block_joint = _group_rows(key, joint)
+    groups, inv = np.unique(key, return_inverse=True)  # sum the rows of each group
+    block_joint = np.zeros((len(groups), nb))
+    np.add.at(block_joint, inv, joint)
     block_cond = (block_joint / block_joint.sum(axis=1, keepdims=True))[
         np.searchsorted(groups, key)]
     cond = joint / joint.sum(axis=1, keepdims=True)

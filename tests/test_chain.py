@@ -8,14 +8,14 @@ from lumpchain import (
     check_irreducible_aperiodic,
     parse_model,
     reverse_chain,
-    stationary_distribution,
 )
+from lumpchain import chain as chain_module
 from lumpchain.errors import (
     BadStartVector,
     DimensionMismatch,
     NegativeEntry,
+    NoConvergence,
     NonStochasticRow,
-    NotAperiodic,
     NotIrreducible,
     UnknownState,
 )
@@ -68,35 +68,40 @@ def test_zero_threshold_clamps_dust():
 
 def test_stationary_doubly_stochastic_is_uniform():
     ch = build_chain([[0.2, 0.8], [0.8, 0.2]], ["u", "v"])
-    assert np.allclose(stationary_distribution(ch), [0.5, 0.5], atol=1e-12)
+    assert np.allclose(ch.stationary, [0.5, 0.5], atol=1e-12)
 
 
 def test_stationary_two_state_closed_form():
     p, q = 0.3, 0.1
     ch = build_chain([[1 - p, p], [q, 1 - q]], ["u", "v"])
-    mu = stationary_distribution(ch)
-    assert np.allclose(mu, [q / (p + q), p / (p + q)], atol=1e-12)
+    assert np.allclose(ch.stationary, [q / (p + q), p / (p + q)], atol=1e-12)
 
 
 def test_stationary_matches_elimination_oracle():
     matrix, _ = raw_blocks("lossy_strong2")
     ch = build_chain(matrix, list("1234"))
     expected = oracles.eliminate_stationary([list(r) for r in ch.transition])
-    assert np.allclose(stationary_distribution(ch), expected, atol=1e-12)
+    assert np.allclose(ch.stationary, expected, atol=1e-12)
 
 
 def test_stationary_rejects_reducible():
     ch = build_chain([[1.0, 0.0], [0.0, 1.0]], ["u", "v"])
     with pytest.raises(NotIrreducible):
-        stationary_distribution(ch)
+        ch.stationary
 
 
-def test_stationary_periodic_gate_and_override():
+def test_stationary_of_periodic_chain_with_its_period():
     ch, _ = load_model("parallel_cycle")
-    with pytest.raises(NotAperiodic):
-        stationary_distribution(ch)
-    mu = stationary_distribution(ch, require_aperiodic=False)
-    assert np.allclose(mu, 0.25, atol=1e-12)
+    assert not ch.connectivity.aperiodic
+    assert np.allclose(ch.stationary, 0.25, atol=1e-12)
+
+
+def test_stationary_rejects_a_large_residual(monkeypatch):
+    ch = build_chain([[0.2, 0.8], [0.8, 0.2]], ["u", "v"])
+    monkeypatch.setattr(chain_module, "_solve_stationary", lambda P, tol: np.array([0.6, 0.4]))
+    with pytest.raises(NoConvergence, match="residual"):
+        ch.stationary
+    assert "stationary" not in ch._cache
 
 
 def test_connectivity_identity_not_irreducible():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import CORPUS, TRAITS, load_model, raw_blocks
+from conftest import CORPUS, MODELS_DIR, TRAITS, load_model, raw_blocks
 from lumpchain import (
     blackwell_entropy_estimate,
     block_entropy,
@@ -18,6 +18,7 @@ from lumpchain import (
     identity_lumping,
     lumped_block_entropy,
     lumped_rate_bounds,
+    parse_model,
     reverse_chain,
 )
 import lumpchain.entropy as entropy_module
@@ -276,6 +277,16 @@ def test_loss_interval_single_entry_fixture_zero_width():
     assert loss.loss_lower <= 1e-12
     assert loss.loss_upper <= 1e-9
     assert loss.loss_upper - loss.loss_lower < 1e-9
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_loss_interval_is_ordered_and_never_negative(path):
+    # where nothing is lost the lower rate bound can pass the chain rate by an ulp
+    chain, lumping = parse_model(str(path))
+    for g in (lumping, identity_lumping(chain)):
+        for n in range(1, 7):
+            loss = conditional_entropy_rate_estimate(chain, g, n)
+            assert 0.0 <= loss.loss_lower <= loss.loss_upper, (g, n)
 
 
 def test_functional_identity_against_joint_enumeration(corpus_case):

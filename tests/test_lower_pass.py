@@ -30,7 +30,7 @@ from lumpchain import (
 from lumpchain import entropy as entropy_module
 from lumpchain import lumping as lumping_module
 from lumpchain.entropy import MASS_EPS, BlockWordLattice, lumped_forward
-from lumpchain.errors import HorizonTooLarge
+from lumpchain.errors import HorizonTooLarge, ValidationError
 from test_lumping import DEEP_WITNESS_SEEDS, sparse_instance
 
 # the benchmark's pairs run: horizons 1..3, k 1..2, weak horizon 3
@@ -183,8 +183,13 @@ def test_analysis_makes_one_upper_and_one_lower_pass(monkeypatch, name):
     forward = count_calls(monkeypatch, "lumped_forward")
     lower = count_calls(monkeypatch, "_lower_levels")
     searches = count_calls(monkeypatch, "_pair_levels", lumping_module)
-    run_analysis(chain, lumping, *([PAIRS_CONFIG] if horizon == 3 else []))
+    scores = count_calls(monkeypatch, "_conditional_entropy")
+    config = PAIRS_CONFIG if horizon == 3 else AnalysisConfig()
+    run_analysis(chain, lumping, config)
     assert (len(forward), len(lower), len(searches)) == (1, 1, 1)
+    # one entropy per level built: upper levels 0..depth, lower levels 1..depth
+    depth = max(*config.horizons, *config.k_range, config.weak_horizon)
+    assert len(scores) == 2 * depth + 1
 
 
 @pytest.mark.parametrize("seed", DEEP_WITNESS_SEEDS)
@@ -198,16 +203,19 @@ def test_start_digit_counts_in_the_id_guard():
     # 4^31 ids fit in 63 bits, 6 x 4^31 do not; 6 x 4^30 fit again
     chain = build_chain(np.roll(np.eye(6), 1, axis=1))
     lumping = build_lumping(chain, {str(i): "ABCD"[i % 4] for i in range(6)})
-    starts = np.diag(chain.stationary)
     tracemalloc.start()
     try:
         with pytest.raises(HorizonTooLarge):
-            lumped_forward(chain, lumping, starts, 30, False)
+            BlockWordLattice(chain, lumping, 1, 31)
         assert tracemalloc.get_traced_memory()[1] < 64 << 10  # refused before allocating
     finally:
         tracemalloc.stop()
-    with pytest.raises(HorizonTooLarge):
-        BlockWordLattice(chain, lumping, 1, 31)
-    assert len(lumped_forward(chain, lumping, chain.stationary, 30, False)) == 6
-    assert len(lumped_forward(chain, lumping, starts, 29, False)) == 6
+    assert len(lumped_forward(chain, lumping, chain.stationary, 30)) == 6
     assert len(BlockWordLattice(chain, lumping, 1, 30).lower(30)[0]) == 6
+
+
+def test_forward_words_start_at_the_time_0_block():
+    chain, lumping = _instance([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [0, 0, 1])
+    assert lumped_forward(chain, lumping, chain.stationary, 2).ids.tolist() == [0, 1, 2]
+    with pytest.raises(ValidationError, match="time-0"):
+        lumped_forward(chain, lumping, chain.stationary, 1, False)

@@ -14,7 +14,7 @@ PUBLIC_NAMES = {
     "chain", "cli", "entropy", "errors", "lumping", "simulate",
     # chain
     "ConnectivityReport", "MarkovChain", "build_chain", "check_irreducible_aperiodic",
-    "reverse_chain", "stationary_distribution",
+    "reverse_chain",
     # cli
     "AnalysisConfig", "AnalysisReport", "export_dot", "format_report", "parse_model",
     "report_from_json", "run_analysis",

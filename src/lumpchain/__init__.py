@@ -12,7 +12,6 @@ from .chain import (
     ConnectivityReport,
     MarkovChain,
     build_chain,
-    check_irreducible_aperiodic,
     reverse_chain,
 )
 from .cli import (

@@ -32,8 +32,6 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_ZERO_THRESHOLD = 1e-15
-STATIONARY_TOL = 1e-12
-_POWER_ITERATION_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class MarkovChain:
     def connectivity(self) -> ConnectivityReport:
         rep = self._cache.get("connectivity")
         if rep is None:
-            rep = check_irreducible_aperiodic(self)
+            rep = _connectivity(self.adjacency)
             self._cache["connectivity"] = rep
         return rep
 
@@ -97,19 +95,19 @@ class MarkovChain:
     def stationary(self) -> np.ndarray:
         """Invariant distribution; requires irreducibility.
 
-        Solved once at ``STATIONARY_TOL`` and cached; every analysis reads
-        this vector. Periodic chains are accepted: an irreducible chain has a
-        unique invariant vector whatever its period, which
+        Solved once by one direct linear solve and cached; every analysis
+        reads this vector. Periodic chains are accepted: an irreducible chain
+        has a unique invariant vector whatever its period, which
         ``connectivity.aperiodic`` reports. Raises NoConvergence when the
-        residual ``max |mu P - mu|`` of the solve exceeds 1e-10.
+        solve fails or its residual ``max |mu P - mu|`` is not within 1e-10.
         """
         mu = self._cache.get("stationary")
         if mu is None:
             if not self.connectivity.irreducible:
                 raise NotIrreducible("stationary distribution needs an irreducible chain")
-            mu = _solve_stationary(self.transition, STATIONARY_TOL)
+            mu = _solve_stationary(self.transition)
             resid = np.max(np.abs(mu @ self.transition - mu))
-            if resid > 1e-10:
+            if not resid <= 1e-10:  # a NaN residual fails too
                 raise NoConvergence(f"stationary residual {resid!r} above tolerance")
             mu.setflags(write=False)
             self._cache["stationary"] = mu
@@ -119,18 +117,25 @@ class MarkovChain:
         return f"MarkovChain(n={self.n}, states={self.states!r})"
 
 
+def _float_array(data, what: str) -> np.ndarray:
+    try:
+        return np.array(data, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows or an entry that is no number
+        raise DimensionMismatch(f"{what} is not an array of numbers: {exc}") from None
+
+
 def build_chain(matrix, states: Sequence[str] | None = None,
                 initial=None, zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> MarkovChain:
     """Validate a transition matrix and construct a chain.
 
-    Entries must be finite and rows must sum to one within ``1e-9``; they are
-    renormalised afterwards so the stored matrix satisfies the row-sum
-    invariant to machine precision.
+    Entries must be finite numbers in a square array and rows must sum to
+    one within ``1e-9``; they are renormalised afterwards so the stored
+    matrix satisfies the row-sum invariant to machine precision.
     Entries in ``(0, zero_threshold]`` are treated as structural zeros.
     An ``initial`` vector is validated and kept as ``chain.initial``; every
     analysis reads the stationary law instead.
     """
-    P = np.array(matrix, dtype=float)
+    P = _float_array(matrix, "transition matrix")
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got shape {P.shape}")
     n = P.shape[0]
@@ -159,7 +164,7 @@ def build_chain(matrix, states: Sequence[str] | None = None,
 
     init = None
     if initial is not None:
-        init = np.array(initial, dtype=float)
+        init = _float_array(initial, "initial vector")
         if init.shape != (n,):
             raise DimensionMismatch(f"initial vector has shape {init.shape}, expected ({n},)")
         if not np.isfinite(init).all():
@@ -173,38 +178,20 @@ def build_chain(matrix, states: Sequence[str] | None = None,
     return MarkovChain(states, P, init)
 
 
-def _solve_stationary(P: np.ndarray, tol: float) -> np.ndarray:
-    """Solve mu P = mu, sum(mu) = 1.
-
-    Direct solve with one balance equation replaced by the normalisation
-    constraint; falls back to power iteration if the solve is singular or
-    leaves a large residual.
-    """
+def _solve_stationary(P: np.ndarray) -> np.ndarray:
+    """Solve mu P = mu, sum(mu) = 1 directly (one balance equation replaced
+    by the normalisation), clip at 0 and renormalise; a singular system
+    raises NoConvergence. ``MarkovChain.stationary`` checks the residual."""
     n = P.shape[0]
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
     try:
-        mu = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        mu = None
-    if mu is not None:
-        mu = np.clip(mu, 0.0, None)
-        s = mu.sum()
-        if s > 0:
-            mu = mu / s
-            if np.max(np.abs(mu @ P - mu)) <= max(tol, 1e-12):
-                return mu
-    # fallback: power iteration
-    mu = np.full(n, 1.0 / n)
-    for _ in range(_POWER_ITERATION_BUDGET):
-        nxt = mu @ P
-        if np.max(np.abs(nxt - mu)) < tol:
-            nxt /= nxt.sum()
-            return nxt
-        mu = nxt
-    raise NoConvergence("power iteration exhausted its budget")
+        mu = np.clip(np.linalg.solve(A, b), 0.0, None)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"stationary solve failed: {exc}") from None
+    return mu / mu.sum()
 
 
 def _levels(adj: np.ndarray) -> np.ndarray:
@@ -221,14 +208,13 @@ def _levels(adj: np.ndarray) -> np.ndarray:
     return level
 
 
-def check_irreducible_aperiodic(chain: MarkovChain) -> ConnectivityReport:
+def _connectivity(adj: np.ndarray) -> ConnectivityReport:
     """Strong connectivity via forward and backward reachability; period via
     the gcd of level differences along edges, an exact integer computation.
 
     For reducible chains the period refers to the part reachable from the
     first state.
     """
-    adj = chain.adjacency
     level = _levels(adj)
     irreducible = bool((level >= 0).all() and (_levels(adj.T) >= 0).all())
     u, v = np.nonzero(adj & (level >= 0)[:, None])

@@ -380,6 +380,8 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     if steps - burn_in < batches:
         raise ValidationError(f"{steps - burn_in} post-burn-in steps cannot fill "
                               f"{batches} batches")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     P = chain.transition
     B = lumping.indicator
@@ -393,9 +395,11 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     # The table keeps one row of nb cells per distinct belief, and a belief's
     # id is the offset of its row. Per block, the row holds the block's mass,
     # the sum of the masses up to it (sequential, as ``accumulate``) and the
-    # id of the belief that drawing the block leads to (-1 until drawn).
-    index = [{} for _ in range(nb + 1)]  # per home: bytes of a belief there -> id
-    key_of = []  # per belief, its bytes
+    # id of the belief that drawing the block leads to (-1 until drawn). A
+    # belief's key is its home block (nb for the start belief) and the bytes
+    # of its values there.
+    index = {}  # key of a belief -> id
+    key_of = []  # per belief, its key
     size, room = 0, _BELIEF_TABLE_BUDGET * nb  # cells in use, and the budget in cells
     masses, cums, slots = array("d"), array("d"), array("i", [-1]) * room
     ids = array("i")  # belief of each step since the table was last emptied
@@ -405,8 +409,7 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
         """Score the steps in ``ids``, each by its belief's block masses,
         then empty the table; the masses are scored once per belief."""
         nonlocal first
-        for known in index:
-            known.clear()
+        index.clear()
         del key_of[:], cums[:]
         slots[:] = array("i", [-1]) * room
         skip = max(burn_in - first, 0)
@@ -419,8 +422,8 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
 
     last = nb - 1
     w = np.array(chain.stationary, dtype=float)
-    y, key, b = nb, w.tobytes(), -1  # the start belief, interned as id 0
-    index[y][key] = 0
+    key, b = (nb, w.tobytes()), -1  # the start belief, interned as id 0
+    index[key] = 0
     for u in memoryview(uniforms):
         if b < 0:  # w is new: give it the next row, predicting from it once
             b = size
@@ -439,10 +442,9 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
         if nxt < 0:  # first draw of this block from belief b
             y = cell - b
             if pred is None:  # pred is not b's: rebuild b from its bytes, predict again
-                key = key_of[b // nb]
-                home = next(h for h, known in enumerate(index) if known.get(key) == b)
+                home, values = key_of[b // nb]
                 w = np.zeros(len(P))
-                w[homes[home]] = np.frombuffer(key)
+                w[homes[home]] = np.frombuffer(values)
                 pred = w @ P
                 r = np.frombuffer(masses[b:end + 1])
             mass = r[y]  # a numpy scalar divides faster than a Python float
@@ -450,8 +452,8 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
                 raise ZeroMassUpdate(f"drawn block {lumping.blocks[y]!r} has underflowed mass")
             w = pred * columns[y]
             w /= mass
-            key = w[homes[y]].tobytes()
-            nxt = index[y].setdefault(key, size)
+            key = (y, w[homes[y]].tobytes())
+            nxt = index.setdefault(key, size)
             if nxt < size:  # a belief already in the table
                 slots[cell] = nxt
                 pred = None
@@ -461,7 +463,7 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
             else:  # full: score the steps so far; w starts an empty table
                 flush()
                 size, nxt = 0, -1
-                index[y][key] = 0
+                index[key] = 0
         else:
             pred = None
         b = nxt

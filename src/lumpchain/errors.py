@@ -36,7 +36,7 @@ class UnknownBlock(ValidationError):
 
 
 class BadStartVector(ValidationError):
-    """Start distribution for sampling is malformed."""
+    """Initial distribution of a chain is malformed."""
 
 
 class EmptyPattern(ValidationError):
@@ -68,7 +68,7 @@ class NotIrreducible(AnalysisError):
 
 
 class NoConvergence(AnalysisError):
-    """Iterative solver exhausted its budget."""
+    """Stationary solve failed or left a residual above tolerance."""
 
 
 class HorizonTooLarge(AnalysisError):

@@ -163,10 +163,6 @@ class SplitMergeResult:
     kappa: float  # positive integer, or math.inf when no witness exists
     witness: SplitMergeWitness | None
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.kappa)
-
 
 @dataclass(frozen=True)
 class LossBound:
@@ -399,6 +395,19 @@ def _pair_levels(chain: MarkovChain, lumping: Lumping):
     return kappa, depth[:, at]
 
 
+def _smallest_path(adj: np.ndarray, allowed: list[np.ndarray]) -> list[int]:
+    """The state-index-smallest path whose i-th state lies in ``allowed[i]``;
+    one must exist. Masks of the states that can still follow the rest are
+    built backward, then each step takes the smallest successor among them."""
+    follows = [allowed[-1]]
+    for mask in reversed(allowed[:-1]):
+        follows.append(mask & adj[:, follows[-1]].any(axis=1))
+    path = [int(np.argmax(follows.pop()))]
+    while follows:
+        path.append(int(np.argmax(adj[path[-1]] & follows.pop())))
+    return path
+
+
 def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:
     """Shortest length of two distinct parallel state paths with shared
     endpoints and block image; ``math.inf`` when no such pair exists.
@@ -418,12 +427,7 @@ def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:
         u = int(options[np.argmax(((depth[options] == d) & partners).any(axis=1))])
         a.append(u)
         options, partners = np.flatnonzero(adj[u]), adj[partners & (depth[u] == d)].any(axis=0)
-    follows = [depth[a[-1]] == kappa]
-    for d in range(kappa - 1, 0, -1):
-        follows.append((depth[a[d - 1]] == d) & adj[:, follows[-1]].any(axis=1))
-    b = [int(np.argmax(follows.pop()))]
-    while follows:
-        b.append(int(np.argmax(adj[b[-1]] & follows.pop())))
+    b = _smallest_path(adj, [depth[u] == d for d, u in enumerate(a, start=1)])
     check = int(np.flatnonzero(adj[:, a[0]] & adj[:, b[0]])[0])
     hat = int(np.flatnonzero(adj[a[-1]] & adj[b[-1]])[0])
     witness = SplitMergeWitness(
@@ -555,14 +559,8 @@ def check_sfs(chain: MarkovChain, lumping: Lumping, k: int) -> SfsResult:
         S, i = first_completable(y, loose, diverged, k - 2 - len(path))
         path.append(int(S[i]))
 
-    # the first sequence with this start block and block word: the smallest
-    # state at every step that can still follow the rest of the word
-    follows = [same[path[-1]]]
-    for y in reversed([x0, *path[:-1]]):
-        follows.append(same[y] & (adj @ follows[-1]))
-    first = [int(np.argmax(follows.pop()))]
-    while follows:
-        first.append(int(np.argmax(adj[first[-1]] & follows.pop())))
+    # the first sequence with this start block and block word
+    first = _smallest_path(adj, [same[y] for y in (x0, *path)])
     return SfsResult(order_k=k, holds=False, violation=SfsViolation(
         block_word=tuple(lumping.blocks[of_state[y]] for y in path),
         start_block=lumping.blocks[of_state[x0]],

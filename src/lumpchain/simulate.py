@@ -1,9 +1,10 @@
 """Trajectory sampling and empirical path statistics.
 
-Sampling uses numpy's seeded default generator (PCG64), which is portable
-across platforms and versions by contract, so fixed seeds reproduce byte
-identical trajectories everywhere. Occurrence statistics follow the greedy
-from-the-left selection rule for non-overlapping pattern traversals.
+Every trajectory starts from the stationary law, which every other number
+reads too. Sampling uses numpy's seeded default generator (PCG64), which is
+portable across platforms and versions by contract, so fixed seeds reproduce
+byte identical trajectories everywhere. Occurrence statistics follow the
+greedy from-the-left selection rule for non-overlapping pattern traversals.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import MarkovChain
-from .errors import BadStartVector, EmptyPattern, UnrealisablePattern, ValidationError
+from .errors import EmptyPattern, UnrealisablePattern, ValidationError
 from .lumping import Lumping, preimage_count
 
 DEFAULT_CHECKPOINTS = (10, 50, 100, 500, 2000)
@@ -26,7 +27,6 @@ DEFAULT_CHECKPOINTS = (10, 50, 100, 500, 2000)
 class Trajectory:
     states: tuple[str, ...]
     seed: int
-    start_mode: str
 
 
 @dataclass(frozen=True)
@@ -49,30 +49,17 @@ class OccurrenceRateCheck:
     per_seed: tuple[float, ...]
 
 
-def _resolve_start(chain: MarkovChain, start_mode) -> tuple[np.ndarray, str]:
-    if isinstance(start_mode, str):
-        if start_mode != "stationary":
-            raise BadStartVector(f"unknown start mode {start_mode!r}")
-        return np.asarray(chain.stationary, dtype=float), "stationary"
-    if isinstance(start_mode, tuple) and len(start_mode) == 2 and start_mode[0] == "delta":
-        rho = np.zeros(chain.n)
-        rho[chain.index(start_mode[1])] = 1.0
-        return rho, f"delta({start_mode[1]})"
-    rho = np.asarray(start_mode, dtype=float)
-    if rho.shape != (chain.n,) or np.any(rho < 0) or abs(rho.sum() - 1.0) > 1e-9:
-        raise BadStartVector("custom start vector must be a distribution over the states")
-    return rho / rho.sum(), "custom"
-
-
-def _sample_indices(chain: MarkovChain, length: int, rho: np.ndarray, seed: int,
+def _sample_indices(chain: MarkovChain, length: int, seed: int,
                     row_cum: list[list[float]]) -> np.ndarray:
-    """Seeded state indices from ``rho``; ``row_cum`` holds the cumulative
+    """Seeded stationary state indices; ``row_cum`` holds the cumulative
     sums of every transition row, computed once per call for all seeds."""
     if length < 1:
         raise ValidationError("length must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seeds must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     u = rng.random(length)
-    start_cum = np.cumsum(rho).tolist()
+    start_cum = np.cumsum(chain.stationary).tolist()
     last = chain.n - 1
     x = min(bisect_right(start_cum, u[0] * start_cum[-1]), last)
     out = np.empty(length, dtype=np.int64)
@@ -89,13 +76,11 @@ def _check_seeds(seeds: Sequence[int]) -> None:
         raise ValidationError("at least one seed is needed")
 
 
-def sample_trajectory(chain: MarkovChain, length: int, start_mode="stationary",
-                      seed: int = 0) -> Trajectory:
-    """Sample a state word of the given length; reproducible for fixed seed."""
-    rho, mode = _resolve_start(chain, start_mode)
-    idx = _sample_indices(chain, length, rho, seed, np.cumsum(chain.transition, axis=1).tolist())
-    return Trajectory(states=tuple(chain.states[i] for i in idx),
-                      seed=seed, start_mode=mode)
+def sample_trajectory(chain: MarkovChain, length: int, seed: int = 0) -> Trajectory:
+    """Sample a state word of the given length from the stationary law;
+    reproducible for a fixed seed."""
+    idx = _sample_indices(chain, length, seed, np.cumsum(chain.transition, axis=1).tolist())
+    return Trajectory(states=tuple(chain.states[i] for i in idx), seed=seed)
 
 
 def _match_positions(seq: np.ndarray, pattern: np.ndarray) -> np.ndarray:
@@ -133,11 +118,10 @@ def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,
     low = [n for n in checkpoints if n < 1]
     if low:
         raise ValidationError(f"checkpoints must be >= 1, got {low}")
-    rho = np.asarray(chain.stationary, dtype=float)
     row_cum = np.cumsum(chain.transition, axis=1).tolist()
     words = []
     for seed in sorted(seeds):
-        idx = _sample_indices(chain, length, rho, seed, row_cum)
+        idx = _sample_indices(chain, length, seed, row_cum)
         words.append([lumping.blocks[b] for b in lumping.of_state[idx]])
     out = []
     for n in checkpoints:
@@ -177,11 +161,10 @@ def occurrence_rate_check(chain: MarkovChain, pattern: Sequence[str], length: in
     k = len(pattern)
     bound = p * float(mu[idx[0]]) / k
 
-    rho = np.asarray(mu, dtype=float)
     row_cum = np.cumsum(chain.transition, axis=1).tolist()
     rates = []
     for seed in sorted(seeds):
-        seq = _sample_indices(chain, length, rho, seed, row_cum)
+        seq = _sample_indices(chain, length, seed, row_cum)
         hits = _match_positions(seq, idx)
         rates.append(len(_greedy_non_overlapping(hits, k)) / length)
     rates_arr = np.array(rates)

@@ -5,7 +5,6 @@ import oracles
 from conftest import MODELS_DIR, load_model, raw_blocks
 from lumpchain import (
     build_chain,
-    check_irreducible_aperiodic,
     parse_model,
     reverse_chain,
 )
@@ -59,6 +58,18 @@ def test_build_rejects_bad_dimensions():
         build_chain([[0.5, 0.5], [0.5, 0.5]], ["u", "u"])
 
 
+@pytest.mark.parametrize("matrix, initial", (
+    ([[0.5, 0.5], [1.0]], None),
+    ([[0.5, "x"], [1.0, 0]], None),
+    ([[0.5, {}], [1.0, 0]], None),
+    ([[0.5, 0.5], [0.5, 0.5]], [[0.5], 0.5]),
+    ([[0.5, 0.5], [0.5, 0.5]], [0.5, "x"]),
+), ids=("ragged-matrix", "string-entry", "dict-entry", "ragged-initial", "string-initial"))
+def test_build_rejects_data_that_is_no_array_of_numbers(matrix, initial):
+    with pytest.raises(DimensionMismatch, match="not an array of numbers"):
+        build_chain(matrix, ["u", "v"], initial)
+
+
 def test_zero_threshold_clamps_dust():
     ch = build_chain([[1.0 - 1e-16, 1e-16], [0.5, 0.5]], ["u", "v"])
     assert ch.transition[0, 1] == 0.0
@@ -96,9 +107,46 @@ def test_stationary_of_periodic_chain_with_its_period():
     assert np.allclose(ch.stationary, 0.25, atol=1e-12)
 
 
+def test_stationary_reports_a_singular_solve_as_no_convergence(monkeypatch):
+    ch = build_chain([[0.2, 0.8], [0.8, 0.2]], ["u", "v"])
+
+    def singular(A, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(chain_module.np.linalg, "solve", singular)
+    with pytest.raises(NoConvergence, match="Singular matrix"):
+        ch.stationary
+    assert "stationary" not in ch._cache
+
+
+def nearly_decomposable(rng, eps):
+    """An irreducible chain of 2-5 dense groups joined by a ring of cross
+    edges, every cross-group entry scaled by ``eps``."""
+    sizes = rng.integers(2, 9, size=int(rng.integers(2, 6)))
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(group)
+    matrix = rng.random((n, n)) + 0.05
+    cross = group[:, None] != group[None, :]
+    matrix[cross] *= eps * rng.random(int(cross.sum()))
+    starts = np.cumsum(sizes) - sizes
+    matrix[starts, np.roll(starts, -1)] = eps  # the ring keeps every group reachable
+    return matrix / matrix.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_direct_stationary_solve_is_exact_on_nearly_decomposable_chains(seed):
+    rng = np.random.default_rng(seed)
+    for eps in 10.0 ** -rng.uniform(2, 14, size=30):
+        chain = build_chain(nearly_decomposable(rng, eps), zero_threshold=0.0)
+        assert chain.connectivity.irreducible
+        mu = chain.stationary
+        assert np.max(np.abs(mu @ chain.transition - mu)) <= 1e-12
+        assert np.all(mu > 0) and mu.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_stationary_rejects_a_large_residual(monkeypatch):
     ch = build_chain([[0.2, 0.8], [0.8, 0.2]], ["u", "v"])
-    monkeypatch.setattr(chain_module, "_solve_stationary", lambda P, tol: np.array([0.6, 0.4]))
+    monkeypatch.setattr(chain_module, "_solve_stationary", lambda P: np.array([0.6, 0.4]))
     with pytest.raises(NoConvergence, match="residual"):
         ch.stationary
     assert "stationary" not in ch._cache
@@ -106,19 +154,19 @@ def test_stationary_rejects_a_large_residual(monkeypatch):
 
 def test_connectivity_identity_not_irreducible():
     ch = build_chain([[1.0, 0.0], [0.0, 1.0]], ["u", "v"])
-    rep = check_irreducible_aperiodic(ch)
+    rep = ch.connectivity
     assert not rep.irreducible
 
 
 def test_connectivity_two_cycle_periodic():
     ch = build_chain([[0.0, 1.0], [1.0, 0.0]], ["u", "v"])
-    rep = check_irreducible_aperiodic(ch)
+    rep = ch.connectivity
     assert rep.irreducible and rep.period == 2 and not rep.aperiodic
 
 
 def test_connectivity_corpus_all_irreducible(corpus_case):
     name, chain, _, _ = corpus_case
-    rep = check_irreducible_aperiodic(chain)
+    rep = chain.connectivity
     assert rep.irreducible
     assert rep.aperiodic == (name != "parallel_cycle")
 
@@ -127,7 +175,7 @@ def test_connectivity_corpus_all_irreducible(corpus_case):
 @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_connectivity_matches_set_bfs_on_corpus(path):
     chain, _ = parse_model(str(path))
-    assert check_irreducible_aperiodic(chain) == oracles.connectivity_by_bfs(chain)
+    assert chain.connectivity == oracles.connectivity_by_bfs(chain)
 
 
 @pytest.mark.parametrize("matrix,expected", [
@@ -138,7 +186,7 @@ def test_connectivity_matches_set_bfs_on_corpus(path):
 ])
 def test_connectivity_matches_set_bfs_on_periodic_and_reducible(matrix, expected):
     chain = build_chain(matrix)
-    rep = check_irreducible_aperiodic(chain)
+    rep = chain.connectivity
     assert rep == oracles.connectivity_by_bfs(chain)
     assert (rep.irreducible, rep.period) == expected
 
@@ -157,7 +205,7 @@ def test_connectivity_matches_set_bfs_on_sparse_chains(seed):
             matrix[x, rng.choice(n, size=int(rng.integers(1, 3)), replace=False)] = 1.0
         matrix /= matrix.sum(axis=1, keepdims=True)
     chain = build_chain(matrix)
-    assert check_irreducible_aperiodic(chain) == oracles.connectivity_by_bfs(chain)
+    assert chain.connectivity == oracles.connectivity_by_bfs(chain)
 
 
 def test_reverse_detailed_balance_is_identity():

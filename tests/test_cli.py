@@ -174,6 +174,39 @@ def test_main_rejects_an_entry_too_large_for_a_float(tmp_path, capsys, where, na
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "too large" in err
 
 
+GOOD_MODEL = {
+    "states": ["u", "v"],
+    "transition_matrix": [[0.5, 0.5], [0.5, 0.5]],
+    "lumping": {"u": "A", "v": "B"},
+    "options": {"allow_trivial_lumping": True},
+}
+
+
+@pytest.mark.parametrize("text", (
+    pytest.param("{", id="invalid-json"),
+    pytest.param("[1, 2]", id="top-level-not-object"),
+    *(pytest.param(json.dumps({**GOOD_MODEL, field: value}), id=name) for name, field, value in (
+        ("states-empty", "states", []),
+        ("states-not-list", "states", "uv"),
+        ("matrix-not-list", "transition_matrix", 5),
+        ("row-not-list", "transition_matrix", [[0.5, 0.5], 1]),
+        ("entry-not-number", "transition_matrix", [[[0.5], 0.5], [0.5, 0.5]]),
+        ("matrix-ragged", "transition_matrix", [[0.5, 0.5], [1.0]]),
+        ("options-not-object", "options", [1]),
+        ("lumping-not-object", "lumping", ["A", "B"]),
+        ("initial-wrong-length", "initial", [1.0]),
+        ("initial-negative", "initial", [1.5, -0.5]),
+    )),
+))
+def test_bad_model_file_exits_with_one_error_line(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["kappa", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_parse_model_missing_field(tmp_path):
     path = write_model(tmp_path, {"states": ["u"], "lumping": {}})
     with pytest.raises(ParseError):
@@ -471,12 +504,20 @@ def test_main_exit_codes(tmp_path, capsys):
     ["analyze", "--seed", "3"],
     ["analyze", "--blackwell-burn-in", "10"],
     ["analyze", "--seed", "3", "--blackwell-burn-in", "10"],
+    ["check-strong", "--k", "0"],
+    ["check-weak", "--k", "0", "--horizon", "1"],
+    ["simulate", "--length", "50", "--seeds", "-1"],
+    ["simulate", "--length", "50", "--seeds", "2", "-3"],
+    ["blackwell", "--steps", "200", "--seed", "-1"],
+    ["analyze", "--blackwell-steps", "200", "--seed", "-2"],
 ), ids=("blackwell-too-few-steps", "blackwell-burn-in-eats-all", "bounds-n0",
         "check-weak-horizon-below-k", "simulate-length0", "check-strong-tol-nan",
         "check-strong-tol-inf", "check-strong-tol-negative", "check-weak-tol-nan",
         "check-weak-tol-minus-inf", "analyze-tol-nan", "analyze-steps-without-seed",
         "analyze-seed-without-steps", "analyze-burn-in-without-steps",
-        "analyze-seed-and-burn-in-without-steps"))
+        "analyze-seed-and-burn-in-without-steps", "check-strong-k0", "check-weak-k0",
+        "simulate-negative-seed", "simulate-one-negative-seed", "blackwell-negative-seed",
+        "analyze-negative-seed"))
 def test_bad_arguments_exit_with_one_error_line(argv, capsys):
     assert main([argv[0], model_path("lossy_strong2"), *argv[1:]]) == 1
     out, err = capsys.readouterr()

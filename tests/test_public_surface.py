@@ -13,8 +13,7 @@ PUBLIC_NAMES = {
     # submodules
     "chain", "cli", "entropy", "errors", "lumping", "simulate",
     # chain
-    "ConnectivityReport", "MarkovChain", "build_chain", "check_irreducible_aperiodic",
-    "reverse_chain",
+    "ConnectivityReport", "MarkovChain", "build_chain", "reverse_chain",
     # cli
     "AnalysisConfig", "AnalysisReport", "export_dot", "format_report", "parse_model",
     "report_from_json", "run_analysis",

@@ -163,9 +163,6 @@ def test_sampling_matches_reference_sampler(shape):
     for seed in seeds:
         assert sample_trajectory(chain, length, seed=seed).states == tuple(
             chain.states[i] for i in want[seed])
-    delta = np.eye(chain.n)[1]
-    assert sample_trajectory(chain, length, ("delta", chain.states[1]), seed=5).states == tuple(
-        chain.states[i] for i in oracles.sample_indices_reference(chain, length, delta, 5))
     words = [[lumping.blocks[b] for b in lumping.of_state[want[seed]]] for seed in sorted(seeds)]
     for point in empirical_growth(chain, lumping, length, seeds, checkpoints=(10, 100, 300)):
         assert point.counts == tuple(preimage_count(chain, lumping, w[:point.n]) for w in words)

@@ -10,24 +10,16 @@ from lumpchain import (
     sample_trajectory,
 )
 from lumpchain.errors import (
-    BadStartVector,
     EmptyPattern,
     UnrealisablePattern,
     ValidationError,
 )
 
 
-def test_sample_length_one_delta():
-    ch, _ = load_model("merge_hub")
-    traj = sample_trajectory(ch, 1, start_mode=("delta", "2"), seed=0)
-    assert traj.states == ("2",)
-    assert traj.start_mode == "delta(2)"
-
-
 def test_sample_forced_continuation():
     # every positive row entry from states 1 and 2 points at the hub
     ch, _ = load_model("merge_hub")
-    traj = sample_trajectory(ch, 50, start_mode=("delta", "1"), seed=3)
+    traj = sample_trajectory(ch, 50, seed=3)
     for a, b in zip(traj.states, traj.states[1:]):
         if a in ("1", "2"):
             assert b == "3"
@@ -51,10 +43,6 @@ def test_sample_law_of_large_numbers():
 
 def test_sample_rejects_bad_start():
     ch, _ = load_model("merge_hub")
-    with pytest.raises(BadStartVector):
-        sample_trajectory(ch, 10, start_mode=[0.5, 0.4, 0.0])
-    with pytest.raises(BadStartVector):
-        sample_trajectory(ch, 10, start_mode="everywhere")
     with pytest.raises(ValidationError):
         sample_trajectory(ch, 0)
 

@@ -118,8 +118,15 @@ class MarkovChain:
 
 
 def _float_array(data, what: str) -> np.ndarray:
+    """A float copy of ``data``. A string entry is refused even where numpy
+    would parse it (``"0.5"``), so decimal and fraction strings fail alike;
+    model files convert theirs in ``cli._coerce_probability``."""
     try:
-        return np.array(data, dtype=float)
+        raw = np.asarray(data)
+        if raw.dtype.kind in "US" or (raw.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes)) for v in raw.flat)):
+            raise TypeError("an entry is a string")
+        return np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows or an entry that is no number
         raise DimensionMismatch(f"{what} is not an array of numbers: {exc}") from None
 

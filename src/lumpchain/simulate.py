@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -51,24 +52,30 @@ class OccurrenceRateCheck:
 
 def _sample_indices(chain: MarkovChain, length: int, seed: int,
                     row_cum: list[list[float]]) -> np.ndarray:
-    """Seeded stationary state indices; ``row_cum`` holds the cumulative
-    sums of every transition row, computed once per call for all seeds."""
+    """Seeded stationary state indices as one int64 array; ``row_cum`` holds
+    the cumulative sums of every transition row, computed once per call for
+    all seeds.
+
+    The loop reads the uniforms as Python floats and collects the states in a
+    list: a numpy scalar read and an array write per step cost more than the
+    bisection itself. ``bisect`` compares the same doubles either way, so the
+    states are the same.
+    """
     if length < 1:
         raise ValidationError("length must be >= 1")
     if seed < 0:
         raise ValidationError(f"seeds must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(length)
+    u = np.random.default_rng(seed).random(length).tolist()
     start_cum = np.cumsum(chain.stationary).tolist()
     last = chain.n - 1
-    x = min(bisect_right(start_cum, u[0] * start_cum[-1]), last)
-    out = np.empty(length, dtype=np.int64)
-    out[0] = x
-    for t in range(1, length):
+    # leaving out a row's last sum caps the drawn index at the last state
+    x = bisect_right(start_cum, u[0] * start_cum[-1], 0, last)
+    out = [x]
+    for v in islice(u, 1, None):
         cum = row_cum[x]
-        x = min(bisect_right(cum, u[t] * cum[-1]), last)
-        out[t] = x
-    return out
+        x = bisect_right(cum, v * cum[-1], 0, last)
+        out.append(x)
+    return np.array(out, dtype=np.int64)
 
 
 def _check_seeds(seeds: Sequence[int]) -> None:
@@ -112,17 +119,24 @@ def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,
     Each seed yields one stationary trajectory; its block image is counted at
     every checkpoint not exceeding the trajectory length. The geometric mean
     of the per-word n-th roots summarises the growth at each checkpoint.
-    Seeds must be nonempty and checkpoints at least 1.
+    Seeds must be nonempty and checkpoints at least 1, and at least one
+    checkpoint must fit the length: a length below the smallest checkpoint
+    is a ``ValidationError``, not an empty result.
     """
     _check_seeds(seeds)
     low = [n for n in checkpoints if n < 1]
     if low:
         raise ValidationError(f"checkpoints must be >= 1, got {low}")
+    if len(checkpoints) == 0:
+        raise ValidationError("at least one checkpoint is needed")
+    if length < min(checkpoints):
+        raise ValidationError(f"length {length} is below the smallest checkpoint "
+                              f"{min(checkpoints)}, so no checkpoint is counted")
     row_cum = np.cumsum(chain.transition, axis=1).tolist()
     words = []
     for seed in sorted(seeds):
         idx = _sample_indices(chain, length, seed, row_cum)
-        words.append([lumping.blocks[b] for b in lumping.of_state[idx]])
+        words.append([lumping.blocks[b] for b in lumping.of_state[idx].tolist()])
     out = []
     for n in checkpoints:
         if n > length:

@@ -6,8 +6,10 @@ no witness exists); tests assert against it and, where cheap, re-derive it by
 brute force via ``oracles``.
 """
 
+import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -46,6 +48,17 @@ def model_path(name: str) -> str:
 
 def load_model(name: str):
     return parse_model(model_path(name))
+
+
+def bench_workloads():
+    """``bench/workloads.py``, loaded read-only, for tests that pin the
+    library on the benchmark's own inputs."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", MODELS_DIR.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def raw_blocks(name: str):

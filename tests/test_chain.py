@@ -64,7 +64,13 @@ def test_build_rejects_bad_dimensions():
     ([[0.5, {}], [1.0, 0]], None),
     ([[0.5, 0.5], [0.5, 0.5]], [[0.5], 0.5]),
     ([[0.5, 0.5], [0.5, 0.5]], [0.5, "x"]),
-), ids=("ragged-matrix", "string-entry", "dict-entry", "ragged-initial", "string-initial"))
+    ([["0.5", "0.5"], ["1", 0]], None),
+    ([["1/2", "1/2"], ["1", 0]], None),
+    ([[0.5, 0.5], [0.5, 0.5]], ["0.5", "0.5"]),
+    ([[0.5, 0.5], [0.5, 0.5]], ["1/2", "1/2"]),
+), ids=("ragged-matrix", "string-entry", "dict-entry", "ragged-initial", "string-initial",
+        "decimal-string-matrix", "fraction-string-matrix", "decimal-string-initial",
+        "fraction-string-initial"))
 def test_build_rejects_data_that_is_no_array_of_numbers(matrix, initial):
     with pytest.raises(DimensionMismatch, match="not an array of numbers"):
         build_chain(matrix, ["u", "v"], initial)

@@ -510,6 +510,7 @@ def test_main_exit_codes(tmp_path, capsys):
     ["simulate", "--length", "50", "--seeds", "2", "-3"],
     ["blackwell", "--steps", "200", "--seed", "-1"],
     ["analyze", "--blackwell-steps", "200", "--seed", "-2"],
+    ["simulate", "--length", "5", "--seeds", "0", "1"],
 ), ids=("blackwell-too-few-steps", "blackwell-burn-in-eats-all", "bounds-n0",
         "check-weak-horizon-below-k", "simulate-length0", "check-strong-tol-nan",
         "check-strong-tol-inf", "check-strong-tol-negative", "check-weak-tol-nan",
@@ -517,7 +518,7 @@ def test_main_exit_codes(tmp_path, capsys):
         "analyze-seed-without-steps", "analyze-burn-in-without-steps",
         "analyze-seed-and-burn-in-without-steps", "check-strong-k0", "check-weak-k0",
         "simulate-negative-seed", "simulate-one-negative-seed", "blackwell-negative-seed",
-        "analyze-negative-seed"))
+        "analyze-negative-seed", "simulate-length-below-checkpoints"))
 def test_bad_arguments_exit_with_one_error_line(argv, capsys):
     assert main([argv[0], model_path("lossy_strong2"), *argv[1:]]) == 1
     out, err = capsys.readouterr()

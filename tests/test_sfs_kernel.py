@@ -9,14 +9,11 @@ reads one ``(states x blocks)`` count product, and
 ``oracles.first_single_entry_violation`` loops over every (state, block).
 """
 
-import importlib.util
-import sys
-
 import numpy as np
 import pytest
 
 import oracles
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, bench_workloads
 from lumpchain import build_chain, build_lumping, check_sfs, check_single_entry, parse_model
 from lumpchain import lumping as lumping_module
 from lumpchain.errors import HorizonTooLarge
@@ -64,11 +61,7 @@ def near_deterministic_instance(seed):
 def probe_instance():
     """The benchmark's budget-probe chain: 40 states, 4 blocks, out-degree 4
     (the second draw from ``default_rng([0, 7])``)."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", MODELS_DIR.parent / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     rng = np.random.default_rng([0, 7])
     workloads.sparse_chain(rng, 10, 5)
     return _instance(*workloads.sparse_chain(rng, 40, 4))

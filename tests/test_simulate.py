@@ -68,6 +68,17 @@ def test_growth_rejects_checkpoints_below_one(checkpoint):
         empirical_growth(ch, g, 100, [0], checkpoints=[10, checkpoint])
 
 
+def test_growth_rejects_a_length_below_every_checkpoint():
+    ch, g = load_model("merge_hub")
+    with pytest.raises(ValidationError, match="length 5 .* smallest checkpoint 10"):
+        empirical_growth(ch, g, 5, [0, 1])
+    with pytest.raises(ValidationError, match="length 40 .* smallest checkpoint 50"):
+        empirical_growth(ch, g, 40, [0], checkpoints=(100, 50))
+    with pytest.raises(ValidationError, match="checkpoint"):
+        empirical_growth(ch, g, 40, [0], checkpoints=())
+    assert [r.n for r in empirical_growth(ch, g, 50, [0], checkpoints=(100, 50))] == [50]
+
+
 def test_occurrence_rate_rejects_no_seeds():
     ch, _ = load_model("merge_hub")
     with pytest.raises(ValidationError, match="seed"):

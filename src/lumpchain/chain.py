@@ -2,9 +2,10 @@
 
 A chain is a row-stochastic matrix over an ordered finite state set. State
 labels are arbitrary strings; internally everything runs on dense integer
-indices. Values are immutable after construction and safe to share across
-threads; the stationary distribution is a lazy cache whose recomputation is
-idempotent.
+indices. A chain has no start vector: every analysis, and the samplers,
+read the stationary law. Values are immutable after construction and safe
+to share across threads; the stationary distribution is a lazy cache whose
+recomputation is idempotent.
 
 Realisability is structural: entries at or below ``zero_threshold`` are
 clamped to exact zero at build time (rows renormalised afterwards), so the
@@ -21,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BadStartVector,
     DimensionMismatch,
     NegativeEntry,
     NoConvergence,
@@ -46,22 +46,18 @@ class ConnectivityReport:
 class MarkovChain:
     """Validated finite Markov chain.
 
-    Do not mutate ``transition`` or ``initial``; both arrays are marked
-    read-only. Use :func:`build_chain` to construct instances from raw data.
+    Do not mutate ``transition``; the array is marked read-only. Use
+    :func:`build_chain` to construct instances from raw data.
     """
 
-    __slots__ = ("states", "transition", "initial", "_index", "_cache")
+    __slots__ = ("states", "transition", "_index", "_cache")
 
-    def __init__(self, states: Sequence[str], transition: np.ndarray,
-                 initial: np.ndarray | None = None):
+    def __init__(self, states: Sequence[str], transition: np.ndarray):
         self.states = tuple(str(s) for s in states)
         self.transition = transition
-        self.initial = initial
         self._index = {s: i for i, s in enumerate(self.states)}
         self._cache: dict = {}
         transition.setflags(write=False)
-        if initial is not None:
-            initial.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -117,32 +113,27 @@ class MarkovChain:
         return f"MarkovChain(n={self.n}, states={self.states!r})"
 
 
-def _float_array(data, what: str) -> np.ndarray:
-    """A float copy of ``data``. A string entry is refused even where numpy
-    would parse it (``"0.5"``), so decimal and fraction strings fail alike;
-    model files convert theirs in ``cli._coerce_probability``."""
-    try:
-        raw = np.asarray(data)
-        if raw.dtype.kind in "US" or (raw.dtype.kind == "O" and any(
-                isinstance(v, (str, bytes)) for v in raw.flat)):
-            raise TypeError("an entry is a string")
-        return np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged rows or an entry that is no number
-        raise DimensionMismatch(f"{what} is not an array of numbers: {exc}") from None
-
-
 def build_chain(matrix, states: Sequence[str] | None = None,
-                initial=None, zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> MarkovChain:
+                zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> MarkovChain:
     """Validate a transition matrix and construct a chain.
 
     Entries must be finite numbers in a square array and rows must sum to
     one within ``1e-9``; they are renormalised afterwards so the stored
     matrix satisfies the row-sum invariant to machine precision.
     Entries in ``(0, zero_threshold]`` are treated as structural zeros.
-    An ``initial`` vector is validated and kept as ``chain.initial``; every
-    analysis reads the stationary law instead.
+    A string, boolean or ``None`` entry is refused even where numpy would
+    convert it (``"0.5"``, ``True``, NaN), as model files refuse them in
+    ``cli._coerce_probability``.
     """
-    P = _float_array(matrix, "transition matrix")
+    try:  # ragged rows, or an entry that is no number
+        raw = np.asarray(matrix)
+        if not isinstance(matrix, np.ndarray) or raw.dtype.kind not in "fiu":
+            kinds = set(map(type, np.asarray(matrix, dtype=object).flat))
+            if any(issubclass(t, (str, bytes, bool, np.bool_, type(None))) for t in kinds):
+                raise TypeError("an entry is a string, a boolean or None")
+        P = np.array(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"transition matrix is not an array of numbers: {exc}") from None
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got shape {P.shape}")
     n = P.shape[0]
@@ -168,21 +159,7 @@ def build_chain(matrix, states: Sequence[str] | None = None,
     if zero_threshold > 0:
         P[P <= zero_threshold] = 0.0
     P /= P.sum(axis=1, keepdims=True)
-
-    init = None
-    if initial is not None:
-        init = _float_array(initial, "initial vector")
-        if init.shape != (n,):
-            raise DimensionMismatch(f"initial vector has shape {init.shape}, expected ({n},)")
-        if not np.isfinite(init).all():
-            raise BadStartVector("initial vector has a non-finite entry")
-        if np.any(init < 0):
-            raise BadStartVector("initial vector has a negative entry")
-        s = init.sum()
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            raise BadStartVector(f"initial vector sums to {s!r}")
-        init /= s
-    return MarkovChain(states, P, init)
+    return MarkovChain(states, P)
 
 
 def _solve_stationary(P: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Command line front end: model files, analysis reports, DOT export.
 
 Model files are UTF-8 JSON with states, a row-major transition matrix,
-a state-to-block lumping map, an optional initial vector and an options
-object. Probabilities may be JSON numbers or exact fraction strings such as
-"5/6"; fractions avoid decimal rounding before validation.
+a state-to-block lumping map and an options object; other keys, such as an
+``initial`` vector, are ignored. Probabilities may be JSON numbers or exact
+fraction strings such as "5/6"; fractions avoid decimal rounding before
+validation.
 
 Every JSON payload follows one rule: result dataclasses become objects of
 their fields, tuples lists, dict keys strings, and an infinite split-merge
@@ -81,11 +82,6 @@ def parse_model(path: str, allow_trivial: bool | None = None) -> tuple[MarkovCha
             raise ParseError(f"{path}: transition_matrix[{i}] must be a list")
         matrix.append([_coerce_probability(v, f"transition_matrix[{i}][{j}]")
                        for j, v in enumerate(row)])
-    initial = raw.get("initial")
-    if initial is not None:
-        if not isinstance(initial, list):
-            raise ParseError(f"{path}: 'initial' must be a list or null")
-        initial = [_coerce_probability(v, f"initial[{i}]") for i, v in enumerate(initial)]
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ParseError(f"{path}: 'options' must be an object")
@@ -99,8 +95,7 @@ def parse_model(path: str, allow_trivial: bool | None = None) -> tuple[MarkovCha
     if not isinstance(lump_map, dict):
         raise ParseError(f"{path}: 'lumping' must be an object mapping state to block")
 
-    chain = build_chain(matrix, states, initial,
-                        zero_threshold=0.0 if exact_zero else 1e-15)
+    chain = build_chain(matrix, states, zero_threshold=0.0 if exact_zero else 1e-15)
     lumping = lp.build_lumping(chain, {str(k): str(v) for k, v in lump_map.items()},
                                allow_trivial=allow_trivial)
     return chain, lumping

@@ -43,6 +43,7 @@ if TYPE_CHECKING:
 MASS_EPS = 1e-15
 _LATTICE_CELL_BUDGET = 1 << 22  # float cells one block-word pass may hold
 _BELIEF_TABLE_BUDGET = 2048  # beliefs the filter interns before it empties its table
+_BATCHES = 50  # equal slices of the filter's scores for its batch-means standard error
 
 
 @dataclass(frozen=True)
@@ -346,18 +347,16 @@ def _block_entropies(laws: np.ndarray) -> np.ndarray:
 
 
 def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: int,
-                               burn_in: int | None = None, seed: int = 0,
-                               batches: int = 50) -> BlackwellEstimate:
+                               burn_in: int | None = None, seed: int = 0) -> BlackwellEstimate:
     """Monte Carlo estimate of the lumped entropy rate via the belief chain.
 
     The belief is the conditional distribution of the hidden state given the
     observed blocks. Each step predicts one transition, scores the entropy of
     the induced block distribution, draws the next block from it and
     conditions the belief on the draw. The estimate is the time average of
-    the per-step scores after burn-in; the standard error comes from batch
-    means over ``batches`` equal slices, so at least two batches and one
-    post-burn-in step per batch are required. Fixed seeds give identical
-    output.
+    the per-step scores after burn-in; the standard error comes from the
+    means of ``_BATCHES`` (50) equal batches, so at least 50 post-burn-in
+    steps are required. Fixed seeds give identical output.
 
     The filter interns its beliefs. After block y is drawn the belief lives
     on block y, and y with the bytes of its values there names it. Each
@@ -375,11 +374,9 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
         burn_in = steps // 10
     if not 0 <= burn_in < steps:
         raise ValidationError("need steps > burn_in >= 0")
-    if batches < 2:
-        raise ValidationError("need batches >= 2 for a standard error")
-    if steps - burn_in < batches:
+    if steps - burn_in < _BATCHES:
         raise ValidationError(f"{steps - burn_in} post-burn-in steps cannot fill "
-                              f"{batches} batches")
+                              f"{_BATCHES} batches")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -475,7 +472,7 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     flush()
 
     estimate = float(vals.mean())
-    usable = (len(vals) // batches) * batches
-    means = vals[:usable].reshape(batches, -1).mean(axis=1)
-    stderr = float(means.std(ddof=1) / math.sqrt(batches))
+    usable = (len(vals) // _BATCHES) * _BATCHES
+    means = vals[:usable].reshape(_BATCHES, -1).mean(axis=1)
+    stderr = float(means.std(ddof=1) / math.sqrt(_BATCHES))
     return BlackwellEstimate(estimate=estimate, stderr=stderr, caveat=_BLACKWELL_CAVEAT)

@@ -1,9 +1,9 @@
 """Exception hierarchy for lumpchain.
 
-Validation errors cover malformed inputs (matrices, distributions, lumping
-maps, model files). Analysis errors cover well-formed inputs that an
-operation cannot handle (reducible chains, work beyond a size budget). The
-CLI maps the two groups to exit codes 1 and 2.
+Validation errors cover malformed inputs (matrices, lumping maps, patterns,
+model files). Analysis errors cover well-formed inputs that an operation
+cannot handle (reducible chains, work beyond a size budget). The CLI maps
+the two groups to exit codes 1 and 2.
 """
 
 
@@ -33,10 +33,6 @@ class UnknownState(ValidationError):
 
 class UnknownBlock(ValidationError):
     """Block label not present in the lumping."""
-
-
-class BadStartVector(ValidationError):
-    """Initial distribution of a chain is malformed."""
 
 
 class EmptyPattern(ValidationError):

@@ -10,7 +10,6 @@ from lumpchain import (
 )
 from lumpchain import chain as chain_module
 from lumpchain.errors import (
-    BadStartVector,
     DimensionMismatch,
     NegativeEntry,
     NoConvergence,
@@ -45,8 +44,6 @@ def test_build_rejects_negative_entry():
 def test_build_rejects_non_finite_entries(bad):
     with pytest.raises(NonStochasticRow, match="non-finite"):
         build_chain([[1.0, 0.0], [bad, 1.0]], ["u", "v"])
-    with pytest.raises(BadStartVector, match="non-finite"):
-        build_chain([[0.5, 0.5], [0.5, 0.5]], ["u", "v"], initial=[bad, 1.0])
 
 
 def test_build_rejects_bad_dimensions():
@@ -58,22 +55,19 @@ def test_build_rejects_bad_dimensions():
         build_chain([[0.5, 0.5], [0.5, 0.5]], ["u", "u"])
 
 
-@pytest.mark.parametrize("matrix, initial", (
-    ([[0.5, 0.5], [1.0]], None),
-    ([[0.5, "x"], [1.0, 0]], None),
-    ([[0.5, {}], [1.0, 0]], None),
-    ([[0.5, 0.5], [0.5, 0.5]], [[0.5], 0.5]),
-    ([[0.5, 0.5], [0.5, 0.5]], [0.5, "x"]),
-    ([["0.5", "0.5"], ["1", 0]], None),
-    ([["1/2", "1/2"], ["1", 0]], None),
-    ([[0.5, 0.5], [0.5, 0.5]], ["0.5", "0.5"]),
-    ([[0.5, 0.5], [0.5, 0.5]], ["1/2", "1/2"]),
-), ids=("ragged-matrix", "string-entry", "dict-entry", "ragged-initial", "string-initial",
-        "decimal-string-matrix", "fraction-string-matrix", "decimal-string-initial",
-        "fraction-string-initial"))
-def test_build_rejects_data_that_is_no_array_of_numbers(matrix, initial):
+@pytest.mark.parametrize("matrix", (
+    [[0.5, 0.5], [1.0]],
+    [[0.5, "x"], [1.0, 0]],
+    [[0.5, {}], [1.0, 0]],
+    [["0.5", "0.5"], ["1", 0]],
+    [["1/2", "1/2"], ["1", 0]],
+    [[True, False], [0.5, 0.5]],
+    [[0.5, None], [1, 0]],
+), ids=("ragged-matrix", "string-entry", "dict-entry", "decimal-string-matrix",
+        "fraction-string-matrix", "bool-matrix", "none-entry"))
+def test_build_rejects_data_that_is_no_array_of_numbers(matrix):
     with pytest.raises(DimensionMismatch, match="not an array of numbers"):
-        build_chain(matrix, ["u", "v"], initial)
+        build_chain(matrix, ["u", "v"])
 
 
 def test_zero_threshold_clamps_dust():
@@ -237,14 +231,6 @@ def test_index_rejects_unknown_state():
     assert ch.index("1") == 0
     with pytest.raises(UnknownState):
         ch.index("zz")
-
-
-def test_initial_vector_validation():
-    with pytest.raises(BadStartVector):
-        build_chain([[0.5, 0.5], [0.5, 0.5]], ["u", "v"], initial=[0.5, 0.4])
-    ch = build_chain([[0.5, 0.5], [0.5, 0.5]], ["u", "v"], initial=[0.9, 0.1])
-    assert ch.initial.tolist() == pytest.approx([0.9, 0.1])
-    assert not ch.initial.flags.writeable
 
 
 def test_stationary_residual_on_corpus(corpus_case):

@@ -111,7 +111,7 @@ def test_parse_model_bad_fraction(tmp_path):
 
 
 @pytest.mark.parametrize("field, value, named", (
-    ("initial", 5, "initial"),
+    ("lumping", ["A", "A"], "lumping"),
     ("options", {"allow_trivial_lumping": "false"}, "allow_trivial_lumping"),
     ("options", {"allow_trivial_lumping": 1}, "allow_trivial_lumping"),
     ("options", {"exact_zero_mode": "true"}, "exact_zero_mode"),
@@ -132,18 +132,14 @@ def test_parse_model_checks_field_types(tmp_path, capsys, field, value, named):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("where", ("matrix", "initial"))
+@pytest.mark.parametrize("where", ("matrix",))
 def test_main_rejects_nan_model(tmp_path, capsys, where):
     payload = {
         "states": ["u", "v"],
-        "transition_matrix": [[0.5, 0.5], [0.5, 0.5]],
+        "transition_matrix": [[0.5, 0.5], [float("nan"), 0.5]],
         "lumping": {"u": "A", "v": "B"},
         "options": {"allow_trivial_lumping": True},
     }
-    if where == "matrix":
-        payload["transition_matrix"][1][0] = float("nan")
-    else:
-        payload["initial"] = [float("nan"), 0.5]
     path = write_model(tmp_path, payload)  # json.dumps writes the NaN literal
     assert main(["kappa", path]) == 1
     out, err = capsys.readouterr()
@@ -151,20 +147,15 @@ def test_main_rejects_nan_model(tmp_path, capsys, where):
     assert err.startswith("error: ") and "non-finite" in err
 
 
-@pytest.mark.parametrize("where, named", (("matrix", r"transition_matrix\[0\]\[1\]"),
-                                          ("initial", r"initial\[1\]")))
+@pytest.mark.parametrize("where, named", (("matrix", r"transition_matrix\[0\]\[1\]"),))
 @pytest.mark.parametrize("value", ("1e400", 10 ** 400))
 def test_main_rejects_an_entry_too_large_for_a_float(tmp_path, capsys, where, named, value):
     payload = {
         "states": ["u", "v"],
-        "transition_matrix": [[0.5, 0.5], [0.5, 0.5]],
+        "transition_matrix": [[0.5, value], [0.5, 0.5]],
         "lumping": {"u": "A", "v": "B"},
         "options": {"allow_trivial_lumping": True},
     }
-    if where == "matrix":
-        payload["transition_matrix"][0][1] = value
-    else:
-        payload["initial"] = [0.5, value]
     path = write_model(tmp_path, payload)
     with pytest.raises(ParseError, match=named):
         parse_model(path)
@@ -194,8 +185,6 @@ GOOD_MODEL = {
         ("matrix-ragged", "transition_matrix", [[0.5, 0.5], [1.0]]),
         ("options-not-object", "options", [1]),
         ("lumping-not-object", "lumping", ["A", "B"]),
-        ("initial-wrong-length", "initial", [1.0]),
-        ("initial-negative", "initial", [1.5, -0.5]),
     )),
 ))
 def test_bad_model_file_exits_with_one_error_line(tmp_path, capsys, text):
@@ -359,6 +348,18 @@ def test_main_bit_identical_across_corpus(corpus_case, capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_model_file_initial_key_is_ignored(tmp_path, capsys):
+    raw = json.loads(pathlib.Path(model_path("lossy_strong2")).read_text(encoding="utf-8"))
+    assert "initial" not in raw
+    argv = ["analyze", "--format", "json"]
+    assert main([*argv, write_model(tmp_path, raw, "plain.json")]) == 0
+    plain = capsys.readouterr().out
+    start = [1.0] + [0.0] * (len(raw["states"]) - 1)  # not the stationary law
+    for initial in (None, start):
+        assert main([*argv, write_model(tmp_path, {**raw, "initial": initial})]) == 0
+        assert capsys.readouterr().out == plain
 
 
 def test_check_sfs_answers_k4_on_40_states(tmp_path, capsys):

@@ -384,8 +384,6 @@ def test_blackwell_rejects_arguments_without_a_standard_error():
     ch, g = load_model("lossy_strong2")
     with pytest.raises(ValidationError):
         blackwell_entropy_estimate(ch, g, steps=10, burn_in=10)
-    with pytest.raises(ValidationError):
-        blackwell_entropy_estimate(ch, g, steps=1000, batches=1)
     with pytest.raises(ValidationError):  # 45 post-burn-in steps for 50 batches
         blackwell_entropy_estimate(ch, g, steps=50)
     est = blackwell_entropy_estimate(ch, g, steps=55)  # one step per batch

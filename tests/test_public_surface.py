@@ -2,6 +2,7 @@
 exported names."""
 
 import ast
+import json
 import pathlib
 import re
 
@@ -33,10 +34,10 @@ PUBLIC_NAMES = {
 }
 
 
-def library_use_block() -> str:
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Library use", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+def readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block after ``heading`` in the README."""
+    section = README.read_text(encoding="utf-8").split(heading, 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
 
 
 def test_package_exports_exactly_the_public_names():
@@ -44,7 +45,7 @@ def test_package_exports_exactly_the_public_names():
 
 
 def test_readme_library_use_runs_as_written_with_its_commented_values():
-    block = library_use_block()
+    block = readme_block("## Library use", "python")
     namespace, values = {}, []
     for node in ast.parse(block).body:
         if isinstance(node, ast.Expr):
@@ -66,3 +67,18 @@ def test_readme_library_use_runs_as_written_with_its_commented_values():
     assert "# True" in block and strong is True
     assert "# 1: the two merged states" in block and kappa == 1
     assert "# certified loss > 0" in block and loss > 0
+
+
+def test_readme_model_file_example_loads_and_analyzes(tmp_path, capsys):
+    example = readme_block("## Model files", "json")
+    raw = json.loads(example)
+    # every key the example shows is one the parser reads
+    assert set(raw) == {"states", "transition_matrix", "lumping", "options"}
+    assert set(raw["options"]) == {"allow_trivial_lumping", "exact_zero_mode"}
+    path = tmp_path / "model.json"
+    path.write_text(example, encoding="utf-8")
+    chain, lumping = lumpchain.parse_model(str(path))
+    assert chain.states == ("1", "2", "3") and lumping.n_blocks == 2
+    assert chain.transition[2].tolist() == [1 / 3, 1 / 3, 1 / 3]
+    assert lumpchain.cli.main(["analyze", "--format", "json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == 1

@@ -27,7 +27,7 @@ from typing import Sequence, Union, get_args, get_origin, get_type_hints
 from . import entropy as ent
 from . import lumping as lp
 from . import simulate as sim
-from .chain import MarkovChain, build_chain, reverse_chain
+from .chain import DEFAULT_ZERO_THRESHOLD, MarkovChain, build_chain, reverse_chain
 from .errors import HorizonTooLarge, LumpchainError, ParseError, ValidationError
 
 SCHEMA_VERSION = "1"
@@ -55,8 +55,10 @@ def _coerce_probability(value, where: str) -> float:
         raise ParseError(f"{where}: {value!r} is too large for a float") from None
 
 
-def parse_model(path: str, allow_trivial: bool | None = None) -> tuple[MarkovChain, lp.Lumping]:
-    """Load and validate a model file into a chain and lumping pair."""
+def parse_model(path: str, allow_trivial: bool = False) -> tuple[MarkovChain, lp.Lumping]:
+    """Load and validate a model file into a chain and lumping pair. A
+    degenerate lumping passes when ``allow_trivial`` or the file's
+    ``allow_trivial_lumping`` option is true."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -88,14 +90,13 @@ def parse_model(path: str, allow_trivial: bool | None = None) -> tuple[MarkovCha
     for key in ("exact_zero_mode", "allow_trivial_lumping"):
         if not isinstance(options.get(key, False), bool):
             raise ParseError(f"{path}: option {key!r} must be true or false")
-    exact_zero = options.get("exact_zero_mode", False)
-    if allow_trivial is None:
-        allow_trivial = options.get("allow_trivial_lumping", False)
+    zero_threshold = 0.0 if options.get("exact_zero_mode", False) else DEFAULT_ZERO_THRESHOLD
+    allow_trivial = allow_trivial or options.get("allow_trivial_lumping", False)
     lump_map = raw["lumping"]
     if not isinstance(lump_map, dict):
         raise ParseError(f"{path}: 'lumping' must be an object mapping state to block")
 
-    chain = build_chain(matrix, states, zero_threshold=0.0 if exact_zero else 1e-15)
+    chain = build_chain(matrix, states, zero_threshold=zero_threshold)
     lumping = lp.build_lumping(chain, {str(k): str(v) for k, v in lump_map.items()},
                                allow_trivial=allow_trivial)
     return chain, lumping
@@ -328,13 +329,16 @@ def export_dot(chain: MarkovChain, lumping: lp.Lumping) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("model", help="path to a model JSON file")
-    common.add_argument("--format", choices=("human", "json"), default="human")
-    common.add_argument("--tol", type=float, default=lp.DEFAULT_PROB_TOL,
-                        help="absolute tolerance for probability comparisons")
-    common.add_argument("--allow-trivial-lumping", action="store_true",
-                        help="accept degenerate lumpings (one block or injective)")
+    # model: every subcommand; report: all but export-dot and reverse; compare: --tol readers
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("model", help="path to a model JSON file")
+    model.add_argument("--allow-trivial-lumping", action="store_true",
+                       help="accept degenerate lumpings (one block or injective)")
+    report = argparse.ArgumentParser(add_help=False, parents=[model])
+    report.add_argument("--format", choices=("human", "json"), default="human")
+    compare = argparse.ArgumentParser(add_help=False, parents=[report])
+    compare.add_argument("--tol", type=float, default=AnalysisConfig.tol,
+                         help="absolute tolerance for probability comparisons")
 
     parser = argparse.ArgumentParser(
         prog="lumpchain",
@@ -342,45 +346,45 @@ def _build_parser() -> argparse.ArgumentParser:
                     "finite Markov chains")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="full verdict battery")
-    p.add_argument("--horizons", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6])
-    p.add_argument("--k-range", type=int, nargs="+", default=[1, 2])
-    p.add_argument("--weak-horizon", type=int, default=6)
+    p = sub.add_parser("analyze", parents=[compare], help="full verdict battery")
+    p.add_argument("--horizons", type=int, nargs="+", default=AnalysisConfig.horizons)
+    p.add_argument("--k-range", type=int, nargs="+", default=AnalysisConfig.k_range)
+    p.add_argument("--weak-horizon", type=int, default=AnalysisConfig.weak_horizon)
     p.add_argument("--blackwell-steps", type=int, default=None)
     p.add_argument("--blackwell-burn-in", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
 
-    sub.add_parser("kappa", parents=[common], help="split-merge index and witness")
-    sub.add_parser("check-se", parents=[common], help="single entry property")
+    sub.add_parser("kappa", parents=[report], help="split-merge index and witness")
+    sub.add_parser("check-se", parents=[report], help="single entry property")
 
-    p = sub.add_parser("check-sfs", parents=[common], help="single forward k-sequence")
+    p = sub.add_parser("check-sfs", parents=[report], help="single forward k-sequence")
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("check-strong", parents=[common], help="strong k-lumpability")
+    p = sub.add_parser("check-strong", parents=[compare], help="strong k-lumpability")
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("check-weak", parents=[common],
+    p = sub.add_parser("check-weak", parents=[compare],
                        help="weak k-lumpability up to a horizon")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
 
-    p = sub.add_parser("bounds", parents=[common], help="rate bounds at a horizon")
+    p = sub.add_parser("bounds", parents=[report], help="rate bounds at a horizon")
     p.add_argument("--n", type=int, required=True)
 
-    sub.add_parser("loss-bound", parents=[common], help="certified entropy loss bound")
+    sub.add_parser("loss-bound", parents=[report], help="certified entropy loss bound")
 
-    p = sub.add_parser("blackwell", parents=[common], help="belief-chain rate estimate")
+    p = sub.add_parser("blackwell", parents=[report], help="belief-chain rate estimate")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=None)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[report],
                        help="empirical preimage-count growth")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
 
-    sub.add_parser("export-dot", parents=[common], help="Graphviz DOT text")
-    sub.add_parser("reverse", parents=[common], help="time-reversed model JSON")
+    sub.add_parser("export-dot", parents=[model], help="Graphviz DOT text")
+    sub.add_parser("reverse", parents=[model], help="time-reversed model JSON")
     return parser
 
 
@@ -392,8 +396,7 @@ def _emit(args, human: str, payload) -> None:
 
 
 def _cmd(args) -> None:
-    chain, lumping = parse_model(
-        args.model, allow_trivial=True if args.allow_trivial_lumping else None)
+    chain, lumping = parse_model(args.model, args.allow_trivial_lumping)
 
     if args.command == "analyze":
         config = AnalysisConfig(

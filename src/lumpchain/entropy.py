@@ -112,8 +112,9 @@ class WordTable:
 
 def _check_id_width(starts: int, nb: int, n_symbols: int) -> None:
     """Refuse word ids, with ``starts`` leading start digits, that 64 bits
-    cannot hold one symbol beyond ``n_symbols``."""
-    if starts * nb ** (n_symbols + 1) > np.iinfo(np.int64).max:
+    cannot hold one symbol beyond ``n_symbols``. With two or more blocks, 63
+    symbols already overflow, so the power is only built for fewer."""
+    if (nb > 1 and n_symbols + 1 >= 63) or starts * nb ** (n_symbols + 1) > np.iinfo(np.int64).max:
         raise HorizonTooLarge(f"{starts} x {nb}^{n_symbols + 1} block words "
                               "overflow 64-bit word ids")
 

@@ -261,7 +261,7 @@ def preimage_count(chain: MarkovChain, lumping: Lumping, word: Sequence[str]) ->
     """
     w = _word_indices(lumping, word)
     if not w:
-        return 0
+        return 1  # the empty state word
     block = lumping.of_state.tolist()
     edges: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (block, next block)
     for x, y in zip(*(a.tolist() for a in np.nonzero(chain.adjacency))):

@@ -5,6 +5,7 @@ reads too. Sampling uses numpy's seeded default generator (PCG64), which is
 portable across platforms and versions by contract, so fixed seeds reproduce
 byte identical trajectories everywhere. Occurrence statistics follow the
 greedy from-the-left selection rule for non-overlapping pattern traversals.
+Preimage growth is counted at the fixed prefix lengths ``CHECKPOINTS``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .chain import MarkovChain
 from .errors import EmptyPattern, UnrealisablePattern, ValidationError
 from .lumping import Lumping, preimage_count
 
-DEFAULT_CHECKPOINTS = (10, 50, 100, 500, 2000)
+CHECKPOINTS = (10, 50, 100, 500, 2000)  # ascending prefix lengths of empirical_growth
 
 
 @dataclass(frozen=True)
@@ -111,36 +112,27 @@ def _greedy_non_overlapping(positions: np.ndarray, k: int) -> list[int]:
 
 
 def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,
-                     seeds: Sequence[int],
-                     checkpoints: Sequence[int] = DEFAULT_CHECKPOINTS
-                     ) -> tuple[GrowthCheckpoint, ...]:
-    """Exact preimage counts of sampled block words at fixed prefix lengths.
+                     seeds: Sequence[int]) -> tuple[GrowthCheckpoint, ...]:
+    """Exact preimage counts of sampled block words at the prefix lengths
+    ``CHECKPOINTS``.
 
     Each seed yields one stationary trajectory; its block image is counted at
     every checkpoint not exceeding the trajectory length. The geometric mean
     of the per-word n-th roots summarises the growth at each checkpoint.
-    Seeds must be nonempty and checkpoints at least 1, and at least one
-    checkpoint must fit the length: a length below the smallest checkpoint
-    is a ``ValidationError``, not an empty result.
+    Seeds must be nonempty, and a length below the smallest checkpoint is a
+    ``ValidationError``, not an empty result.
     """
     _check_seeds(seeds)
-    low = [n for n in checkpoints if n < 1]
-    if low:
-        raise ValidationError(f"checkpoints must be >= 1, got {low}")
-    if len(checkpoints) == 0:
-        raise ValidationError("at least one checkpoint is needed")
-    if length < min(checkpoints):
+    if length < CHECKPOINTS[0]:
         raise ValidationError(f"length {length} is below the smallest checkpoint "
-                              f"{min(checkpoints)}, so no checkpoint is counted")
+                              f"{CHECKPOINTS[0]}, so no checkpoint is counted")
     row_cum = np.cumsum(chain.transition, axis=1).tolist()
     words = []
     for seed in sorted(seeds):
         idx = _sample_indices(chain, length, seed, row_cum)
         words.append([lumping.blocks[b] for b in lumping.of_state[idx].tolist()])
     out = []
-    for n in checkpoints:
-        if n > length:
-            continue
+    for n in CHECKPOINTS[:bisect_right(CHECKPOINTS, length)]:
         counts = [preimage_count(chain, lumping, w[:n]) for w in words]
         roots = [2.0 ** (math.log2(c) / n) for c in counts]
         geo = 2.0 ** (sum(math.log2(r) for r in roots) / len(roots))

@@ -549,10 +549,34 @@ ARGUMENT_SETS = (
 )
 
 
+# export-dot and reverse write DOT and model JSON, so they take no --format
+PLAIN_OUTPUT = ("export-dot", "reverse")
+# the weak and strong checks are the only probability comparisons
+TOL_READERS = ("analyze", "check-strong", "check-weak")
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 @pytest.mark.parametrize("args", ARGUMENT_SETS, ids=lambda a: "-".join(a[:3]))
 def test_main_output_is_byte_identical_to_hand_written_payloads(name, args):
-    for fmt in ("human", "json"):
-        argv = [args[0], model_path(name), *args[1:], "--format", fmt,
-                "--allow-trivial-lumping"]
+    formats = [()] if args[0] in PLAIN_OUTPUT else [("--format", f) for f in ("human", "json")]
+    for fmt in formats:
+        argv = [args[0], model_path(name), *args[1:], *fmt, "--allow-trivial-lumping"]
         assert oracles.capture_cli(main, argv) == oracles.cli_output_v1(argv), fmt
+
+
+FIRST_ARGUMENT_SET = {args[0]: args for args in reversed(ARGUMENT_SETS)}
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_ARGUMENT_SET))
+def test_each_subcommand_takes_only_the_flags_it_reads(command, capsys):
+    assert len(FIRST_ARGUMENT_SET) == 12
+    argv = [command, model_path("lossy_strong2"), *FIRST_ARGUMENT_SET[command][1:]]
+    for flag, value, takes in (("--tol", "1e-3", command in TOL_READERS),
+                               ("--format", "json", command not in PLAIN_OUTPUT)):
+        if takes:
+            assert main([*argv, flag, value]) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

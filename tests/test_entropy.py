@@ -74,6 +74,14 @@ def test_block_entropy_iid_bits():
     assert block_entropy(ch, 5) == pytest.approx(5.0, abs=1e-12)
 
 
+def test_block_entropies_reject_the_empty_word():
+    ch, g = load_model("lossy_strong2")
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        block_entropy(ch, 0)
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        lumped_block_entropy(ch, g, 0)
+
+
 def test_block_entropy_matches_enumeration():
     matrix, _ = raw_blocks("weak_not_strong")
     ch = build_chain(matrix, list("1234"))

@@ -214,6 +214,18 @@ def test_start_digit_counts_in_the_id_guard():
     assert len(BlockWordLattice(chain, lumping, 1, 30).lower(30)[0]) == 6
 
 
+def test_id_guard_refuses_a_deep_horizon_before_building_the_power():
+    # 3^(10^7 + 1) has millions of digits; two or more blocks overflow at 63 symbols
+    chain, lumping = parse_model(str(MODELS_DIR / "merge_eps.json"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(HorizonTooLarge, match=r"^1 x 3\^10000001 block words overflow"):
+            lumped_rate_bounds(chain, lumping, 10 ** 7)
+        assert tracemalloc.get_traced_memory()[1] < 64 << 10
+    finally:
+        tracemalloc.stop()
+
+
 def test_forward_words_start_at_the_time_0_block():
     chain, lumping = _instance([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [0, 0, 1])
     assert lumped_forward(chain, lumping, chain.stationary, 2).ids.tolist() == [0, 1, 2]

@@ -94,6 +94,12 @@ def test_preimage_count_identity_is_one():
     assert preimage_count(ch, ident, word) == 1
 
 
+def test_preimage_count_of_the_empty_word_is_one():
+    # the empty block word has one preimage, the empty state word
+    ch, g = load_model("merge_hub")
+    assert preimage_count(ch, g, ()) == 1
+
+
 def test_preimage_count_matches_enumeration(corpus_case):
     name, chain, lumping, _ = corpus_case
     _, blocks = raw_blocks(name)

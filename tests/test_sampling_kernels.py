@@ -164,7 +164,7 @@ def test_sampling_matches_reference_sampler(shape):
         assert sample_trajectory(chain, length, seed=seed).states == tuple(
             chain.states[i] for i in want[seed])
     words = [[lumping.blocks[b] for b in lumping.of_state[want[seed]]] for seed in sorted(seeds)]
-    for point in empirical_growth(chain, lumping, length, seeds, checkpoints=(10, 100, 300)):
+    for point in empirical_growth(chain, lumping, length, seeds):
         assert point.counts == tuple(preimage_count(chain, lumping, w[:point.n]) for w in words)
     pattern = [int(x) for x in want[0][:2]]
     got = occurrence_rate_check(chain, [chain.states[x] for x in pattern], length, seeds)

@@ -61,22 +61,14 @@ def test_growth_rejects_no_seeds():
         empirical_growth(ch, g, 100, [])
 
 
-@pytest.mark.parametrize("checkpoint", [0, -5])
-def test_growth_rejects_checkpoints_below_one(checkpoint):
-    ch, g = load_model("merge_hub")
-    with pytest.raises(ValidationError, match="checkpoints"):
-        empirical_growth(ch, g, 100, [0], checkpoints=[10, checkpoint])
-
-
 def test_growth_rejects_a_length_below_every_checkpoint():
     ch, g = load_model("merge_hub")
     with pytest.raises(ValidationError, match="length 5 .* smallest checkpoint 10"):
         empirical_growth(ch, g, 5, [0, 1])
-    with pytest.raises(ValidationError, match="length 40 .* smallest checkpoint 50"):
-        empirical_growth(ch, g, 40, [0], checkpoints=(100, 50))
-    with pytest.raises(ValidationError, match="checkpoint"):
-        empirical_growth(ch, g, 40, [0], checkpoints=())
-    assert [r.n for r in empirical_growth(ch, g, 50, [0], checkpoints=(100, 50))] == [50]
+    with pytest.raises(ValidationError, match="length 9 .* smallest checkpoint 10"):
+        empirical_growth(ch, g, 9, [0])
+    assert [r.n for r in empirical_growth(ch, g, 10, [0])] == [10]
+    assert [r.n for r in empirical_growth(ch, g, 499, [0])] == [10, 50, 100]
 
 
 def test_occurrence_rate_rejects_no_seeds():
@@ -99,8 +91,7 @@ def test_occupation_frequency_matches_stationary():
 
 def test_growth_identity_lumping_stays_one():
     ch, _ = load_model("lossy_strong2")
-    rows = empirical_growth(ch, identity_lumping(ch), 300, seeds=(0, 1),
-                            checkpoints=(10, 100, 300))
+    rows = empirical_growth(ch, identity_lumping(ch), 300, seeds=(0, 1))
     for row in rows:
         assert row.max_count == 1
         assert row.geo_mean_growth == pytest.approx(1.0, abs=1e-12)
@@ -110,27 +101,27 @@ def test_growth_bounded_without_witness():
     for name in ("tagged_branches", "unique_entry"):
         chain, lumping = load_model(name)
         cap = (chain.n - lumping.n_blocks + 1) ** 2
-        rows = empirical_growth(chain, lumping, 500, seeds=range(5),
-                                checkpoints=(10, 100, 500))
+        rows = empirical_growth(chain, lumping, 500, seeds=range(5))
         for row in rows:
             assert row.max_count <= cap, name
 
 
 def test_growth_explodes_with_witness():
     ch, g = load_model("lossy_strong2")
-    rows = empirical_growth(ch, g, 500, seeds=(0,), checkpoints=(500,))
-    assert rows[0].geo_mean_growth > 1.1
+    rows = empirical_growth(ch, g, 500, seeds=(0,))
+    assert rows[-1].n == 500 and rows[-1].geo_mean_growth > 1.1
 
 
 def test_growth_dichotomy_across_corpus(corpus_case):
     # bounded counts without a split-merge witness, past the bound with one
     name, chain, lumping, traits = corpus_case
     cap = (chain.n - lumping.n_blocks + 1) ** 2
-    rows = empirical_growth(chain, lumping, 500, seeds=(0, 1, 2), checkpoints=(500,))
+    last = empirical_growth(chain, lumping, 500, seeds=(0, 1, 2))[-1]
+    assert last.n == 500
     if traits["kappa"] is None:
-        assert rows[0].max_count <= cap
+        assert last.max_count <= cap
     else:
-        assert rows[0].max_count > cap
+        assert last.max_count > cap
 
 
 def test_occurrence_rate_single_state():
@@ -150,6 +141,7 @@ def test_occurrence_rate_forced_pattern():
     # "uuuuu" holds ("u", "u") at instants 1-4; the greedy rule keeps 1 and 3
     loop = build_chain([[1.0]], ["u"])
     assert occurrence_rate_check(loop, ("u", "u"), 5, seeds=(0,)).per_seed == (2 / 5,)
+    assert occurrence_rate_check(loop, ("u",) * 6, 5, seeds=(0, 1)).per_seed == (0.0, 0.0)
 
 
 def test_occurrence_rate_rejects_unrealisable():

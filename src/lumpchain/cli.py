@@ -104,11 +104,15 @@ def parse_model(path: str, allow_trivial: bool = False) -> tuple[MarkovChain, lp
 
 def chain_to_model_dict(chain: MarkovChain, lumping: lp.Lumping) -> dict:
     """Model-file representation of a chain and lumping (decimal entries)."""
+    P = chain.transition
+    options = {"allow_trivial_lumping": not 2 <= lumping.n_blocks < chain.n}
+    if ((P > 0) & (P <= DEFAULT_ZERO_THRESHOLD)).any():  # edges a reload would clamp
+        options["exact_zero_mode"] = True
     return {
         "states": list(chain.states),
-        "transition_matrix": [[float(v) for v in row] for row in chain.transition],
+        "transition_matrix": [[float(v) for v in row] for row in P],
         "lumping": lumping.map,
-        "options": {"allow_trivial_lumping": not 2 <= lumping.n_blocks < chain.n},
+        "options": options,
     }
 
 

@@ -81,7 +81,7 @@ def _plogp(p: np.ndarray) -> float:
     p = p[p > 0]
     if p.size == 0:
         return 0.0
-    return float(-(p * np.log2(p)).sum())
+    return float(-(p * np.log2(p)).sum()) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def chain_entropy_rate(chain: MarkovChain) -> float:
@@ -164,7 +164,7 @@ def _conditional_entropy(joint: np.ndarray) -> float:
     """H(column | row) of a joint whose rows all have positive mass."""
     cond = joint / joint.sum(axis=1, keepdims=True)
     np.log2(cond, out=cond, where=cond > 0)
-    return float(-np.vdot(joint, cond))
+    return float(-np.vdot(joint, cond)) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def _prepend_blocks(table: np.ndarray, words: np.ndarray, slots: np.ndarray,
@@ -347,6 +347,17 @@ def _block_entropies(laws: np.ndarray) -> np.ndarray:
     return out
 
 
+def _uniforms(seed: int, count: int) -> np.ndarray:
+    """The seeded draw of the belief filter and the sampler. A negative seed
+    is a ``ValidationError``; a float64 count numpy cannot address (8 bytes
+    each) is ``HorizonTooLarge``."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if count > np.iinfo(np.intp).max // 8:
+        raise HorizonTooLarge(f"{count} uniforms do not fit in one float64 array")
+    return np.random.default_rng(seed).random(count)
+
+
 def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: int,
                                burn_in: int | None = None, seed: int = 0) -> BlackwellEstimate:
     """Monte Carlo estimate of the lumped entropy rate via the belief chain.
@@ -368,8 +379,9 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     scored once per distinct belief and gathered by belief, so every number
     is the one a per-step loop gives. The table keeps at most
     ``_BELIEF_TABLE_BUDGET`` beliefs: when it is full, the steps so far are
-    scored and it starts empty. Memory is that budget plus one score and one
-    belief id per step, however many distinct beliefs a run visits.
+    scored and it starts empty. Memory is that budget plus one uniform, one
+    score and one belief id per step (8 + 8 + 4 bytes), however many
+    distinct beliefs a run visits.
     """
     if burn_in is None:
         burn_in = steps // 10
@@ -378,16 +390,13 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     if steps - burn_in < _BATCHES:
         raise ValidationError(f"{steps - burn_in} post-burn-in steps cannot fill "
                               f"{_BATCHES} batches")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    uniforms = _uniforms(seed, steps)
     P = chain.transition
     B = lumping.indicator
     nb = lumping.n_blocks
     columns = [np.ascontiguousarray(B[:, y]) for y in range(nb)]
     # where each block's beliefs live; the start belief lives on every state
     homes = [np.flatnonzero(c) for c in columns] + [slice(None)]
-    uniforms = rng.random(steps)
     vals = np.empty(steps - burn_in)
 
     # The table keeps one row of nb cells per distinct belief, and a belief's

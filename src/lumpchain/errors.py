@@ -69,8 +69,9 @@ class NoConvergence(AnalysisError):
 
 class HorizonTooLarge(AnalysisError):
     """A block-word pass exceeds its cell budget, word ids exceed 64 bits,
-    the SFS pair tables exceed their cell budget, or the loss bound's minimal
-    block words their step budget; the message names the size."""
+    the SFS pair tables exceed their cell budget, the loss bound's minimal
+    block words their step budget, or a seeded draw (filter steps, sampled
+    length) the float64 cells numpy can address; the message names the size."""
 
 
 class ZeroMassUpdate(AnalysisError):

@@ -430,15 +430,17 @@ def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:
     b = _smallest_path(adj, [depth[u] == d for d, u in enumerate(a, start=1)])
     check = int(np.flatnonzero(adj[:, a[0]] & adj[:, b[0]])[0])
     hat = int(np.flatnonzero(adj[a[-1]] & adj[b[-1]])[0])
-    witness = SplitMergeWitness(
-        kappa=kappa,
-        check_state=chain.states[check],
-        hat_state=chain.states[hat],
-        lumped_word=tuple(lumping.blocks[lumping.of_state[x]] for x in a),
-        path_a=tuple(chain.states[x] for x in a),
-        path_b=tuple(chain.states[x] for x in b),
-    )
-    return SplitMergeResult(kappa=kappa, witness=witness)
+    return SplitMergeResult(kappa=kappa, witness=_witness(chain, lumping, check, a, b, hat))
+
+
+def _witness(chain: MarkovChain, lumping: Lumping, check: int, path_a, path_b,
+             hat: int) -> SplitMergeWitness:
+    """The witness of two parallel state-index paths from ``check`` to ``hat``."""
+    names = chain.states
+    return SplitMergeWitness(
+        kappa=len(path_a), check_state=names[check], hat_state=names[hat],
+        lumped_word=tuple(lumping.blocks[lumping.of_state[x]] for x in path_a),
+        path_a=tuple(names[x] for x in path_a), path_b=tuple(names[x] for x in path_b))
 
 
 # ---------------------------------------------------------------------------
@@ -822,13 +824,7 @@ def _loss_bound(chain: MarkovChain, lumping: Lumping, kappa, depth) -> LossBound
         other = min(p for i, (p, _) in enumerate(paths) if p != paths[top][0])
         key = (-score, check, word, hat)
         if best is None or key < best[0]:
-            witness = SplitMergeWitness(
-                kappa=kappa,
-                check_state=chain.states[check],
-                hat_state=chain.states[hat],
-                lumped_word=tuple(lumping.blocks[b] for b in word),
-                path_a=tuple(chain.states[i] for i in paths[top][0]),
-                path_b=tuple(chain.states[i] for i in other))
+            witness = _witness(chain, lumping, check, paths[top][0], other, hat)
             best = (key, LossBound(witness=witness, loss_entropy=loss, alpha=alpha,
                                    rate_lower_bound=alpha * loss,
                                    growth_constant=2.0 ** alpha))

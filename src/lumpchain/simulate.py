@@ -6,6 +6,9 @@ portable across platforms and versions by contract, so fixed seeds reproduce
 byte identical trajectories everywhere. Occurrence statistics follow the
 greedy from-the-left selection rule for non-overlapping pattern traversals.
 Preimage growth is counted at the fixed prefix lengths ``CHECKPOINTS``.
+Every entry point samples through ``_sample_indices``, which draws with
+``entropy._uniforms`` as the belief filter does: a negative seed is a
+``ValidationError``, a length numpy cannot hold is ``HorizonTooLarge``.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .chain import MarkovChain
+from .entropy import _uniforms
 from .errors import EmptyPattern, UnrealisablePattern, ValidationError
 from .lumping import Lumping, preimage_count
 
@@ -51,64 +54,55 @@ class OccurrenceRateCheck:
     per_seed: tuple[float, ...]
 
 
-def _sample_indices(chain: MarkovChain, length: int, seed: int,
-                    row_cum: list[list[float]]) -> np.ndarray:
-    """Seeded stationary state indices as one int64 array; ``row_cum`` holds
-    the cumulative sums of every transition row, computed once per call for
-    all seeds.
+def _sample_indices(chain: MarkovChain, length: int,
+                    seeds: Sequence[int]) -> Iterator[np.ndarray]:
+    """Seeded stationary state indices, one int64 array per seed in sorted
+    seed order. The cumulative sums of μ and of the transition rows are taken
+    once per call; ``entropy._uniforms`` checks each seed as it draws.
 
     The loop reads the uniforms as Python floats and collects the states in a
     list: a numpy scalar read and an array write per step cost more than the
     bisection itself. ``bisect`` compares the same doubles either way, so the
     states are the same.
     """
-    if length < 1:
-        raise ValidationError("length must be >= 1")
-    if seed < 0:
-        raise ValidationError(f"seeds must be >= 0, got {seed}")
-    u = np.random.default_rng(seed).random(length).tolist()
-    start_cum = np.cumsum(chain.stationary).tolist()
-    last = chain.n - 1
-    # leaving out a row's last sum caps the drawn index at the last state
-    x = bisect_right(start_cum, u[0] * start_cum[-1], 0, last)
-    out = [x]
-    for v in islice(u, 1, None):
-        cum = row_cum[x]
-        x = bisect_right(cum, v * cum[-1], 0, last)
-        out.append(x)
-    return np.array(out, dtype=np.int64)
-
-
-def _check_seeds(seeds: Sequence[int]) -> None:
     if len(seeds) == 0:
         raise ValidationError("at least one seed is needed")
+    if length < 1:
+        raise ValidationError("length must be >= 1")
+    start_cum = np.cumsum(chain.stationary).tolist()
+    row_cum = np.cumsum(chain.transition, axis=1).tolist()
+    last = chain.n - 1
+    for seed in sorted(seeds):
+        cum, out = start_cum, []
+        for v in _uniforms(seed, length).tolist():
+            # leaving out a row's last sum caps the drawn index at the last state
+            x = bisect_right(cum, v * cum[-1], 0, last)
+            out.append(x)
+            cum = row_cum[x]
+        yield np.array(out, dtype=np.int64)
 
 
 def sample_trajectory(chain: MarkovChain, length: int, seed: int = 0) -> Trajectory:
     """Sample a state word of the given length from the stationary law;
     reproducible for a fixed seed."""
-    idx = _sample_indices(chain, length, seed, np.cumsum(chain.transition, axis=1).tolist())
+    idx = next(_sample_indices(chain, length, [seed]))
     return Trajectory(states=tuple(chain.states[i] for i in idx), seed=seed)
 
 
-def _match_positions(seq: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+def _occurrences(seq: np.ndarray, pattern: np.ndarray) -> int:
+    """Non-overlapping occurrences of ``pattern`` in ``seq``, chosen greedily
+    from the left."""
     n, k = len(seq), len(pattern)
     if k > n:
-        return np.empty(0, dtype=np.int64)
+        return 0
     hits = np.ones(n - k + 1, dtype=bool)
     for j in range(k):
         hits &= seq[j:n - k + 1 + j] == pattern[j]
-    return np.flatnonzero(hits)
-
-
-def _greedy_non_overlapping(positions: np.ndarray, k: int) -> list[int]:
-    chosen: list[int] = []
-    blocked_until = -1
-    for p in positions:
+    count, blocked_until = 0, -1
+    for p in np.flatnonzero(hits).tolist():
         if p > blocked_until:
-            chosen.append(int(p))
-            blocked_until = p + k - 1
-    return chosen
+            count, blocked_until = count + 1, p + k - 1
+    return count
 
 
 def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,
@@ -122,15 +116,11 @@ def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,
     Seeds must be nonempty, and a length below the smallest checkpoint is a
     ``ValidationError``, not an empty result.
     """
-    _check_seeds(seeds)
     if length < CHECKPOINTS[0]:
         raise ValidationError(f"length {length} is below the smallest checkpoint "
                               f"{CHECKPOINTS[0]}, so no checkpoint is counted")
-    row_cum = np.cumsum(chain.transition, axis=1).tolist()
-    words = []
-    for seed in sorted(seeds):
-        idx = _sample_indices(chain, length, seed, row_cum)
-        words.append([lumping.blocks[b] for b in lumping.of_state[idx].tolist()])
+    words = [[lumping.blocks[b] for b in lumping.of_state[idx].tolist()]
+             for idx in _sample_indices(chain, length, seeds)]
     out = []
     for n in CHECKPOINTS[:bisect_right(CHECKPOINTS, length)]:
         counts = [preimage_count(chain, lumping, w[:n]) for w in words]
@@ -152,7 +142,6 @@ def occurrence_rate_check(chain: MarkovChain, pattern: Sequence[str], length: in
     boundary term of one pattern length; it is a statistical check, not a
     proof. Seeds must be nonempty.
     """
-    _check_seeds(seeds)
     pattern = tuple(pattern)
     if not pattern:
         raise EmptyPattern("pattern must be nonempty")
@@ -167,12 +156,7 @@ def occurrence_rate_check(chain: MarkovChain, pattern: Sequence[str], length: in
     k = len(pattern)
     bound = p * float(mu[idx[0]]) / k
 
-    row_cum = np.cumsum(chain.transition, axis=1).tolist()
-    rates = []
-    for seed in sorted(seeds):
-        seq = _sample_indices(chain, length, seed, row_cum)
-        hits = _match_positions(seq, idx)
-        rates.append(len(_greedy_non_overlapping(hits, k)) / length)
+    rates = [_occurrences(seq, idx) / length for seq in _sample_indices(chain, length, seeds)]
     rates_arr = np.array(rates)
     se = float(rates_arr.std(ddof=1) / math.sqrt(len(rates))) if len(rates) > 1 else 0.0
     slack = 3.0 * se + k / length

@@ -22,6 +22,7 @@ from lumpchain import (
     lumped_rate_bounds,
     parse_model,
     report_from_json,
+    reverse_chain,
     run_analysis,
 )
 from lumpchain.cli import main, report_from_dict
@@ -525,6 +526,56 @@ def test_bad_arguments_exit_with_one_error_line(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+HUGE = str(2 ** 62)  # float64 uniforms past what numpy can address in one array
+
+
+@pytest.mark.parametrize("argv", (
+    ["blackwell", "--steps", HUGE, "--seed", "0"],
+    ["simulate", "--length", HUGE, "--seeds", "0"],
+    ["analyze", "--blackwell-steps", HUGE, "--seed", "0"],
+), ids=("blackwell", "simulate", "analyze"))
+def test_a_draw_numpy_cannot_address_exits_with_one_analysis_error_line(argv, capsys):
+    assert main([argv[0], model_path("merge_hub"), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("analysis error: ")
+
+
+def test_reverse_keeps_an_edge_below_the_zero_threshold(tmp_path, capsys):
+    model = tmp_path / "faint_edge.json"
+    model.write_text(json.dumps({
+        "states": ["a", "b", "c"],
+        "transition_matrix": [[0, 0.5, 0.5], [1e-16, 0.5, 0.4999999999999999],
+                              [0.5, 0.5, 0]],
+        "lumping": {"a": "A", "b": "A", "c": "B"},
+        "options": {"exact_zero_mode": True},
+    }))
+    assert main(["reverse", str(model)]) == 0
+    reversed_model = tmp_path / "reversed.json"
+    reversed_model.write_text(capsys.readouterr().out)
+    chain, _ = parse_model(str(model))
+    back, _ = parse_model(str(reversed_model))
+    assert back.adjacency.tolist() == reverse_chain(chain).adjacency.tolist()
+    assert not back.adjacency[0, 0] and back.adjacency[0, 1]
+
+
+def test_a_certain_next_block_prints_zero_not_negative_zero(tmp_path, capsys):
+    # on the 3-cycle a -> b -> c -> a, two blocks fix the next block exactly
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps({
+        "states": ["a", "b", "c"],
+        "transition_matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        "lumping": {"a": "A", "b": "A", "c": "B"},
+    }))
+    for args in (["bounds", "--n", "2"], ["check-weak", "--k", "1", "--horizon", "2"],
+                 ["analyze"]):
+        for fmt in ("human", "json"):
+            assert main([args[0], str(cycle), *args[1:], "--format", fmt]) == 0
+            assert "-0.0" not in capsys.readouterr().out
+    bounds = lumped_rate_bounds(*parse_model(str(cycle)), 2)
+    assert math.copysign(1.0, bounds.lower) == math.copysign(1.0, bounds.upper) == 1.0
 
 
 MODEL_NAMES = sorted(p.stem for p in MODELS_DIR.glob("*.json"))

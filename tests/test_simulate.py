@@ -77,6 +77,24 @@ def test_occurrence_rate_rejects_no_seeds():
         occurrence_rate_check(ch, (ch.states[0],), 100, [])
 
 
+def test_the_argument_checks_come_before_the_seed_checks():
+    ch, g = load_model("merge_hub")
+    with pytest.raises(ValidationError, match="length 5 .* smallest checkpoint 10"):
+        empirical_growth(ch, g, 5, [])
+    with pytest.raises(EmptyPattern):
+        occurrence_rate_check(ch, (), 100, [])
+
+
+def test_sampling_refuses_a_negative_seed_as_the_filter_does():
+    ch, g = load_model("merge_hub")
+    calls = (lambda: sample_trajectory(ch, 10, seed=-1),
+             lambda: empirical_growth(ch, g, 10, [2, -3]),
+             lambda: occurrence_rate_check(ch, (ch.states[0],), 10, [-4]))
+    for call, seed in zip(calls, (-1, -3, -4)):
+        with pytest.raises(ValidationError, match=f"^seed must be >= 0, got {seed}$"):
+            call()
+
+
 def test_occupation_frequency_matches_stationary():
     ch, _ = load_model("merge_hub")
     mu = ch.stationary

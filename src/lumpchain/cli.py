@@ -157,6 +157,11 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
             raise ValidationError("a Blackwell seed or burn-in needs blackwell_steps")
     elif config.blackwell_seed is None:
         raise ValidationError("blackwell_steps needs a blackwell_seed")
+    blackwell = None
+    if config.blackwell_steps is not None:  # first: its arguments can refuse it at once
+        blackwell = ent.blackwell_entropy_estimate(
+            chain, lumping, config.blackwell_steps,
+            config.blackwell_burn_in, config.blackwell_seed)
     kappa, depth = lp._pair_levels(chain, lumping)  # one pair search for the index and the bound
     try:
         loss_bound = lp._loss_bound(chain, lumping, kappa, depth)
@@ -175,11 +180,6 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
                     chain, lumping, k, max(config.weak_horizon, k), config.tol).weak_up_to_horizon
                 for k in config.k_range}
         bounds = tuple(ent.lumped_rate_bounds(chain, lumping, n) for n in config.horizons)
-    blackwell = None
-    if config.blackwell_steps is not None:
-        blackwell = ent.blackwell_entropy_estimate(
-            chain, lumping, config.blackwell_steps,
-            config.blackwell_burn_in, config.blackwell_seed)
     return AnalysisReport(
         kappa=kappa,
         se=se.holds,
@@ -319,11 +319,9 @@ def export_dot(chain: MarkovChain, lumping: lp.Lumping) -> str:
             lines.append(f"    {_quote(chain.states[i])};")
         lines.append("  }")
     P = chain.transition
-    for i in range(chain.n):
-        for j in range(chain.n):
-            if P[i, j] > 0:
-                lines.append(f"  {_quote(chain.states[i])} -> {_quote(chain.states[j])}"
-                             f" [label=\"{P[i, j]:.6g}\"];")
+    for i, j in zip(*chain.adjacency.nonzero()):  # row-major
+        lines.append(f"  {_quote(chain.states[i])} -> {_quote(chain.states[j])}"
+                     f" [label=\"{P[i, j]:.6g}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -79,8 +79,6 @@ class BlackwellEstimate:
 def _plogp(p: np.ndarray) -> float:
     """-sum p*log2(p) over the positive entries."""
     p = p[p > 0]
-    if p.size == 0:
-        return 0.0
     return float(-(p * np.log2(p)).sum()) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
@@ -98,16 +96,15 @@ def block_entropy(chain: MarkovChain, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WordTable:
-    """Live block words of one length in lexicographic order: ids in base
-    |blocks|, first symbol most significant. ``levels[m]`` holds the ids and
-    next-block joint of the live m-words for every m up to this length, taken
-    from the same pass."""
+    """Live block words of every length up to one pass's horizon, in
+    lexicographic order: ``levels[m]`` holds the ids (base |blocks|, first
+    symbol most significant) and next-block joint of the live m-words.
+    ``len`` is the number of live words of the last level."""
 
-    ids: np.ndarray
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.levels[-1][0])
 
 
 def _check_id_width(starts: int, nb: int, n_symbols: int) -> None:
@@ -157,7 +154,7 @@ def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
         mass[lumping.of_state != blocks[:, None]] = 0.0
         pushed = mass @ P
         levels.append((ids, pushed @ B))
-    return WordTable(ids=ids, levels=tuple(levels))
+    return WordTable(levels=tuple(levels))
 
 
 def _conditional_entropy(joint: np.ndarray) -> float:
@@ -168,14 +165,15 @@ def _conditional_entropy(joint: np.ndarray) -> float:
 
 
 def _prepend_blocks(table: np.ndarray, words: np.ndarray, slots: np.ndarray,
-                    heads: np.ndarray, fronts: np.ndarray, level: int, held: int):
+                    heads: np.ndarray, indicator: np.ndarray, level: int, held: int):
     """The backward table at ``level``, one deeper than ``table``: every
-    block b in front of every word that a state of B_b starts, rows
-    ``table[:, B_b] @ P.T[B_b]`` under ids ``b * nb**(level-1) + word``.
-    ``held`` counts the cells of the levels kept so far."""
+    block b in front of every word that a state of B_b starts (a row of
+    ``table`` positive at some next block, gathered by the block
+    ``indicator``), rows ``table[:, B_b] @ P.T[B_b]`` under ids
+    ``b * nb**(level-1) + word``. ``held`` counts the cells kept so far."""
     nb, n = len(heads), table.shape[1]
     _check_cells("backward", level, nb * len(words), nb * n, held + table.size)
-    keep = (table.reshape(len(words), -1) @ fronts > 0.0).T.ravel()
+    keep = (table.reshape(len(words), nb, n).any(axis=1) @ indicator > 0).T.ravel()
     grown = np.matmul(table[:, slots].transpose(1, 0, 2), heads)  # front block x rows x states
     grown = grown.reshape(nb * len(words), nb * n)
     words = (np.arange(nb)[:, None] * nb ** (level - 1) + words).ravel()
@@ -205,7 +203,6 @@ def _lower_levels(chain: MarkovChain, lumping: "Lumping", depth: int):
     for b, idx in enumerate(lumping.member_indices):
         slots[b, :len(idx)] = idx
         heads[b, :len(idx)] = P.T[idx]
-    fronts = np.tile(lumping.indicator, (nb, 1))  # (next block, state) x front block
     table = np.ascontiguousarray((P @ lumping.indicator).T)  # (word, next block) x state
     words = np.zeros(1, dtype=np.int64)
     ids = np.flatnonzero(mu > MASS_EPS)  # the empty word obeys the mass rule too
@@ -213,7 +210,7 @@ def _lower_levels(chain: MarkovChain, lumping: "Lumping", depth: int):
     for m in range(depth + 1):
         if m:
             held = sum(i.size + j.size for i, j in levels)  # ids and next-block joints kept
-            table, words = _prepend_blocks(table, words, slots, heads, fronts, m, held)
+            table, words = _prepend_blocks(table, words, slots, heads, lumping.indicator, m, held)
             rows, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
             ids = levels[-1][0][rows] * nb + blocks
         start = ids // nb ** m
@@ -379,9 +376,9 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     scored once per distinct belief and gathered by belief, so every number
     is the one a per-step loop gives. The table keeps at most
     ``_BELIEF_TABLE_BUDGET`` beliefs: when it is full, the steps so far are
-    scored and it starts empty. Memory is that budget plus one uniform, one
-    score and one belief id per step (8 + 8 + 4 bytes), however many
-    distinct beliefs a run visits.
+    scored and it starts empty. Every step is scored; the burn-in is dropped
+    at the end. Memory is that budget plus one uniform, one score and one
+    belief id per step (8 + 8 + 4 bytes), however many beliefs a run visits.
     """
     if burn_in is None:
         burn_in = steps // 10
@@ -397,7 +394,7 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     columns = [np.ascontiguousarray(B[:, y]) for y in range(nb)]
     # where each block's beliefs live; the start belief lives on every state
     homes = [np.flatnonzero(c) for c in columns] + [slice(None)]
-    vals = np.empty(steps - burn_in)
+    vals = np.empty(steps)  # every step's score; the burn-in is cut at the end
 
     # The table keeps one row of nb cells per distinct belief, and a belief's
     # id is the offset of its row. Per block, the row holds the block's mass,
@@ -421,11 +418,8 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
         index.clear()
         del key_of[:], cums[:]
         slots[:] = array("i", [-1]) * room
-        skip = max(burn_in - first, 0)
-        if skip < len(ids):
-            scores = _block_entropies(np.frombuffer(masses).reshape(-1, nb))
-            np.take(scores, np.frombuffer(ids, dtype=np.intc)[skip:] // nb,
-                    out=vals[first + skip - burn_in:first + len(ids) - burn_in])
+        scores = _block_entropies(np.frombuffer(masses).reshape(-1, nb))
+        np.take(scores, np.frombuffer(ids, dtype=np.intc) // nb, out=vals[first:first + len(ids)])
         first += len(ids)
         del masses[:], ids[:]
 
@@ -481,6 +475,7 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
         b = nxt
     flush()
 
+    vals = vals[burn_in:]
     estimate = float(vals.mean())
     usable = (len(vals) // _BATCHES) * _BATCHES
     means = vals[:usable].reshape(_BATCHES, -1).mean(axis=1)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -246,10 +246,6 @@ class LumpabilityVerdict:
 # preimages
 
 
-def _word_indices(lumping: Lumping, word: Iterable[str]) -> list[int]:
-    return [lumping.block_index(b) for b in word]
-
-
 def preimage_count(chain: MarkovChain, lumping: Lumping, word: Sequence[str]) -> int:
     """Number of realisable state words with the given block image.
 
@@ -259,7 +255,7 @@ def preimage_count(chain: MarkovChain, lumping: Lumping, word: Sequence[str]) ->
     consecutive blocks) after one pass over the edges per call; counts are
     Python ints, so they stay exact however large they grow.
     """
-    w = _word_indices(lumping, word)
+    w = [lumping.block_index(b) for b in word]
     if not w:
         return 1  # the empty state word
     block = lumping.of_state.tolist()
@@ -817,14 +813,13 @@ def _loss_bound(chain: MarkovChain, lumping: Lumping, kappa, depth) -> LossBound
         paths = _window_paths(chain, lumping, check, word, hat)
         probs = np.array([p for _, p in paths])
         loss = _plogp(probs / probs.sum())
-        order = sorted(range(len(paths)), key=lambda i: (-paths[i][1], paths[i][0]))
-        top = order[0]
-        alpha = float(paths[top][1]) / (2.0 * (kappa + 2))
+        top, top_prob = min(paths, key=lambda pp: (-pp[1], pp[0]))  # most probable, least on ties
+        alpha = float(top_prob) / (2.0 * (kappa + 2))
         score = alpha * loss
-        other = min(p for i, (p, _) in enumerate(paths) if p != paths[top][0])
+        other = min(path for path, _ in paths if path != top)
         key = (-score, check, word, hat)
         if best is None or key < best[0]:
-            witness = _witness(chain, lumping, check, paths[top][0], other, hat)
+            witness = _witness(chain, lumping, check, top, other, hat)
             best = (key, LossBound(witness=witness, loss_entropy=loss, alpha=alpha,
                                    rate_lower_bound=alpha * loss,
                                    growth_constant=2.0 ** alpha))

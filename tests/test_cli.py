@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import MODELS_DIR, model_path
+from conftest import MODELS_DIR, bench_workloads, model_path
 import lumpchain
 from lumpchain import (
     AnalysisConfig,
@@ -26,7 +26,7 @@ from lumpchain import (
     run_analysis,
 )
 from lumpchain.cli import main, report_from_dict
-from lumpchain.errors import ParseError, ValidationError
+from lumpchain.errors import HorizonTooLarge, ParseError, ValidationError
 from test_sfs_kernel import probe_instance
 
 
@@ -266,6 +266,24 @@ def test_report_json_round_trip(corpus_case):
     payload = json.loads(text)
     assert payload["schema_version"] == "1"
     assert isinstance(payload["kappa"], (int, str))
+
+
+@pytest.mark.parametrize("steps, error", [(2 ** 62, HorizonTooLarge), (10, ValidationError)],
+                         ids=["unaddressable", "too-few-batches"])
+def test_run_analysis_refuses_a_bad_estimator_call_before_the_pair_search(
+        monkeypatch, steps, error):
+    # the refusal depends on the arguments alone, so no exact analysis runs first
+    item = bench_workloads().make_items("pairs", 0, MODELS_DIR.parent)[2]
+    assert item.key == "02-sparse-n300-b4"
+    chain = build_chain(item.matrix, item.states)
+    lumping = build_lumping(chain, item.assignment)
+    calls = []
+    pair_levels = lumpchain.lumping._pair_levels
+    monkeypatch.setattr(lumpchain.lumping, "_pair_levels",
+                        lambda *a: calls.append(a) or pair_levels(*a))
+    with pytest.raises(error):
+        run_analysis(chain, lumping, AnalysisConfig(blackwell_steps=steps, blackwell_seed=0))
+    assert calls == []
 
 
 def test_report_kappa_infinity_sentinel():

@@ -82,6 +82,12 @@ def test_block_entropies_reject_the_empty_word():
         lumped_block_entropy(ch, g, 0)
 
 
+@pytest.mark.parametrize("p", [np.zeros(0), np.zeros(3)], ids=["empty", "all-zero"])
+def test_plogp_without_positive_entries_is_plus_zero(p):
+    h = entropy_module._plogp(p)
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+
 def test_block_entropy_matches_enumeration():
     matrix, _ = raw_blocks("weak_not_strong")
     ch = build_chain(matrix, list("1234"))

@@ -228,6 +228,9 @@ def test_id_guard_refuses_a_deep_horizon_before_building_the_power():
 
 def test_forward_words_start_at_the_time_0_block():
     chain, lumping = _instance([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [0, 0, 1])
-    assert lumped_forward(chain, lumping, chain.stationary, 2).ids.tolist() == [0, 1, 2]
+    table = lumped_forward(chain, lumping, chain.stationary, 2)
+    ids = table.levels[-1][0]
+    assert ids.tolist() == [0, 1, 2]
+    assert len(table) == len(ids)
     with pytest.raises(ValidationError, match="time-0"):
         lumped_forward(chain, lumping, chain.stationary, 1, False)

@@ -28,7 +28,7 @@ from . import entropy as ent
 from . import lumping as lp
 from . import simulate as sim
 from .chain import DEFAULT_ZERO_THRESHOLD, MarkovChain, build_chain, reverse_chain
-from .errors import HorizonTooLarge, LumpchainError, ParseError, ValidationError
+from .errors import HorizonTooLarge, KTooSmall, LumpchainError, ParseError, ValidationError
 
 SCHEMA_VERSION = "1"
 
@@ -157,6 +157,11 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
             raise ValidationError("a Blackwell seed or burn-in needs blackwell_steps")
     elif config.blackwell_seed is None:
         raise ValidationError("blackwell_steps needs a blackwell_seed")
+    # the refusals check_strong_lumpable and lumped_rate_bounds would make, before any work
+    if min(config.k_range, default=1) < 1:
+        raise KTooSmall("strong lumpability order must be >= 1")
+    if min(config.horizons, default=1) < 1:
+        raise ValidationError("n must be >= 1")
     blackwell = None
     if config.blackwell_steps is not None:  # first: its arguments can refuse it at once
         blackwell = ent.blackwell_entropy_estimate(

@@ -44,6 +44,7 @@ MASS_EPS = 1e-15
 _LATTICE_CELL_BUDGET = 1 << 22  # float cells one block-word pass may hold
 _BELIEF_TABLE_BUDGET = 2048  # beliefs the filter interns before it empties its table
 _BATCHES = 50  # equal slices of the filter's scores for its batch-means standard error
+_TINY = np.finfo(float).smallest_subnormal  # log floor: p * log2(max(p, _TINY)) is -0.0 at p = 0
 
 
 @dataclass(frozen=True)
@@ -158,9 +159,16 @@ def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
 
 
 def _conditional_entropy(joint: np.ndarray) -> float:
-    """H(column | row) of a joint whose rows all have positive mass."""
+    """H(column | row) of a joint whose rows all have positive mass.
+
+    A conditional cell is zero only where its joint cell is, so the zero
+    cells are clamped to the smallest subnormal before one unmasked log2
+    (a masked one runs at about half the speed): their terms 0 * -1074 are
+    -0.0 and leave the dot product's bits as the positive cells give them.
+    """
     cond = joint / joint.sum(axis=1, keepdims=True)
-    np.log2(cond, out=cond, where=cond > 0)
+    np.maximum(cond, _TINY, out=cond)  # only zero cells move, and their terms stay 0
+    np.log2(cond, out=cond)
     return float(-np.vdot(joint, cond)) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
@@ -329,18 +337,18 @@ _BLACKWELL_CAVEAT = ("time average assumes the belief process is ergodic; "
 
 def _block_entropies(laws: np.ndarray) -> np.ndarray:
     """Row-wise -sum p*log2(p) over the positive entries of a (rows x blocks)
-    array, bit-equal to calling :func:`_plogp` on each row: rows are summed in
-    groups with the same number of positive entries, compressed to those
-    entries, so numpy adds the same terms in the same order."""
+    array, bit-equal to calling :func:`_plogp` on each row: the positive
+    entries are compressed in row order before the log, and rows are summed
+    in groups with the same number of them, so numpy adds the same terms in
+    the same order."""
     pos = laws > 0
-    terms = np.zeros_like(laws)
-    np.log2(laws, out=terms, where=pos)
-    terms *= laws
+    p = laws[pos]
+    terms = p * np.log2(p)
     width = pos.sum(axis=1)
     out = np.zeros(len(laws))
     for k in set(width.tolist()) - {0}:
         rows = width == k
-        out[rows] = -terms[rows][pos[rows]].reshape(-1, k).sum(axis=1)
+        out[rows] = -terms[np.repeat(rows, width)].reshape(-1, k).sum(axis=1)
     return out
 
 

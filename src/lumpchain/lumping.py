@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .chain import MarkovChain
-from .entropy import _plogp, lattice, lumped_rate_bounds
+from .entropy import _TINY, _plogp, lattice, lumped_rate_bounds
 from .entropy import lumped_forward  # noqa: F401  (stays importable from here)
 from .errors import (
     HorizonTooLarge,
@@ -58,6 +58,7 @@ from .errors import (
 DEFAULT_PROB_TOL = 1e-9
 _SFS_TABLE_BUDGET = 1 << 22  # SFS table cells over all levels: (k-1) * n^2 bytes
 _WINDOW_STEP_BUDGET = 1 << 14  # loss bound: minimal block words times their length
+_MAX_TIMES_SLICE = 1 << 16  # max-times products formed at once: 512 KiB of floats
 
 
 class Lumping:
@@ -575,7 +576,8 @@ def check_sfs(chain: MarkovChain, lumping: Lumping, k: int) -> SfsResult:
 def _lookup(ids: np.ndarray, rows: np.ndarray, keys: np.ndarray):
     """The rows of a level whose ids are ``keys``, and whether each is
     present: a key the mass rule dropped gets a neighbour's row and False."""
-    at = np.searchsorted(ids, keys).clip(max=len(ids) - 1)
+    at = np.searchsorted(ids, keys)
+    np.minimum(at, len(ids) - 1, out=at)
     return rows[at], ids[at] == keys
 
 
@@ -720,35 +722,49 @@ def _minimal_windows(chain: MarkovChain, lumping: Lumping, kappa: int, depth: np
         reach = np.flatnonzero(on_level[d] & A[on[-1]].any(axis=0) if word else on_level[d])
         for b in sorted(set(of_state[reach].tolist())):
             y = reach[of_state[reach] == b]
-            step = depth[np.ix_(y, y)] == d
+            step = depth[y[:, None], y] == d
             if word:
-                T = A[np.ix_(on[-1], y)]
+                T = A[on[-1][:, None], y]
                 step &= T.T @ M @ T > 0
             kept = step.any(axis=1)  # = step.any(axis=0): the pairs are symmetric
             if kept.any():
-                stack.append(((*word, b), [*on, y[kept]], step[np.ix_(kept, kept)]))
+                stack.append(((*word, b), [*on, y[kept]], step[kept][:, kept]))
     for word, on in found:
         rows = np.flatnonzero(A[:, on[0]].sum(axis=1) >= 2)
         cols = np.flatnonzero(A[on[-1]].sum(axis=0) >= 2)
-        C = A[np.ix_(rows, on[0])]
+        C = A[rows[:, None], on[0]]
         for x, y in zip(on, on[1:]):
-            C = np.minimum(C @ A[np.ix_(x, y)], 2)
-        mask = C @ A[np.ix_(on[-1], cols)] >= 2
+            C = np.minimum(C @ A[x[:, None], y], 2)
+        mask = C @ A[on[-1][:, None], cols] >= 2
         has_row, has_col = mask.any(axis=1), mask.any(axis=0)
-        yield word, rows[has_row], cols[has_col], mask[np.ix_(has_row, has_col)]
+        yield word, rows[has_row], cols[has_col], mask[has_row][:, has_col]
 
 
 def _max_times(V: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Max-times product: entry (i, k) is the largest ``V[i, j] * T[j, k]``.
 
-    Loops over the middle states j that some row reaches, each touching only
-    the nonzero entries of ``T[j]``; a broadcast (rows x j x k) tensor would
-    need tens of MB on a few hundred states.
+    One pass over the nonzeros of T grouped by column: each nonzero
+    ``T[j, k]`` forms the products ``V[:, j] * T[j, k]`` once, and
+    ``np.maximum.reduceat`` takes each column's largest. Every product is
+    exact, so the grouping leaves the maximum's bits alone. The nonzeros go
+    in slices of at most ``_MAX_TIMES_SLICE`` products, so the work is
+    O(rows * nonzeros of T) and the scratch beside the output and two index
+    vectors over the nonzeros is a few slices of 512 KiB, however dense T is.
     """
-    out = np.zeros((V.shape[0], T.shape[1]))
-    for j in np.flatnonzero(V.any(axis=0)):
-        nz = np.flatnonzero(T[j])
-        out[:, nz] = np.maximum(out[:, nz], V[:, j, None] * T[j, nz])
+    rows = V.shape[0]
+    out = np.zeros((rows, T.shape[1]))
+    k, j = np.nonzero(T.T)  # column-major: each column's nonzeros are adjacent
+    step = max(1, _MAX_TIMES_SLICE // max(rows, 1))
+    for at in range(0, len(k), step):
+        ks, js = k[at:at + step], j[at:at + step]
+        prods = V[:, js]
+        prods *= T[js, ks]
+        first = np.empty(len(ks), dtype=bool)  # the first nonzero of each column
+        first[0] = True
+        np.not_equal(ks[1:], ks[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        cols = ks[starts]  # a column cut by the slice seam keeps its earlier maximum
+        out[:, cols] = np.maximum(out[:, cols], np.maximum.reduceat(prods, starts, axis=1))
     return out
 
 
@@ -787,8 +803,10 @@ def _loss_bound(chain: MarkovChain, lumping: Lumping, kappa, depth) -> LossBound
     for word, rows, cols, mask in _minimal_windows(chain, lumping, kappa, depth):
         states = [rows, *(lumping.member_indices[b] for b in word), cols]
         for i, (a, b) in enumerate(zip(states, states[1:])):
-            T = P[np.ix_(a, b)]
-            TlogT = T * np.log2(T, out=np.zeros_like(T), where=T > 0)
+            T = P[a[:, None], b]
+            TlogT = np.maximum(T, _TINY)
+            np.log2(TlogT, out=TlogT)
+            TlogT *= T  # -0.0 where T is 0
             if i == 0:
                 Z, S, V = T, TlogT, T
             else:

@@ -619,15 +619,48 @@ def lower_levels_by_start(chain, lumping, lower_horizon):
             for x in range(chain.n)]
 
 
+def conditional_entropy_masked(joint):
+    """Frozen copy of the library's original H(column | row) of a joint
+    whose rows all have positive mass: the log taken only where the
+    conditional is positive."""
+    cond = joint / joint.sum(axis=1, keepdims=True)
+    np.log2(cond, out=cond, where=cond > 0)
+    return float(-np.vdot(joint, cond)) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
+def block_entropies_masked(laws):
+    """Frozen copy of the library's original row-wise -sum p*log2(p) over
+    the positive entries: a masked log over the whole array, then the rows
+    summed in groups with the same number of positive entries."""
+    pos = laws > 0
+    terms = np.zeros_like(laws)
+    np.log2(laws, out=terms, where=pos)
+    terms *= laws
+    width = pos.sum(axis=1)
+    out = np.zeros(len(laws))
+    for k in set(width.tolist()) - {0}:
+        rows = width == k
+        out[rows] = -terms[rows][pos[rows]].reshape(-1, k).sum(axis=1)
+    return out
+
+
+def max_times_by_state(V, T):
+    """Frozen copy of the library's original max-times product: one pass per
+    middle state j that some row reaches, over the nonzeros of ``T[j]``."""
+    out = np.zeros((V.shape[0], T.shape[1]))
+    for j in np.flatnonzero(V.any(axis=0)):
+        nz = np.flatnonzero(T[j])
+        out[:, nz] = np.maximum(out[:, nz], V[:, j, None] * T[j, nz])
+    return out
+
+
 def rate_bounds_by_start(chain, lumping, n):
     """Horizon-n (lower, upper) rate bounds with the lower edge summed start
     by start over ``lower_levels_by_start``, as the library first did."""
-    from lumpchain.entropy import _conditional_entropy
-
     per_start = lower_levels_by_start(chain, lumping, n)
     upper = _forward_levels(chain, lumping, chain.stationary, n, True)[n][1]
-    return (sum(_conditional_entropy(levels[n - 1][1]) for levels in per_start),
-            _conditional_entropy(upper))
+    return (sum(conditional_entropy_masked(levels[n - 1][1]) for levels in per_start),
+            conditional_entropy_masked(upper))
 
 
 def strong_verdict_by_start(chain, lumping, k, tol=1e-9):

@@ -26,7 +26,7 @@ from lumpchain import (
     run_analysis,
 )
 from lumpchain.cli import main, report_from_dict
-from lumpchain.errors import HorizonTooLarge, ParseError, ValidationError
+from lumpchain.errors import HorizonTooLarge, KTooSmall, ParseError, ValidationError
 from test_sfs_kernel import probe_instance
 
 
@@ -284,6 +284,35 @@ def test_run_analysis_refuses_a_bad_estimator_call_before_the_pair_search(
     with pytest.raises(error):
         run_analysis(chain, lumping, AnalysisConfig(blackwell_steps=steps, blackwell_seed=0))
     assert calls == []
+
+
+BAD_ORDER_OR_HORIZON = [
+    (dict(horizons=(0,)), ["--horizons", "0"], ValidationError, "n must be >= 1"),
+    (dict(k_range=(0,)), ["--k-range", "0"], KTooSmall,
+     "strong lumpability order must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("fields, flags, error, message", BAD_ORDER_OR_HORIZON,
+                         ids=["horizon", "order"])
+def test_run_analysis_refuses_a_bad_order_or_horizon_before_any_work(
+        monkeypatch, capsys, fields, flags, error, message):
+    # the refusal depends on the arguments alone, so neither the estimate nor
+    # the pair search runs first; the CLI reports it as the callees did
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the refusal")
+
+    monkeypatch.setattr(lumpchain.entropy, "blackwell_entropy_estimate", never)
+    monkeypatch.setattr(lumpchain.lumping, "_pair_levels", never)
+    chain, lumping = parse_model(model_path("lossy_strong2"))
+    config = AnalysisConfig(blackwell_steps=200000, blackwell_seed=0, **fields)
+    with pytest.raises(error) as info:
+        run_analysis(chain, lumping, config)
+    assert str(info.value) == message
+    code = main(["analyze", model_path("lossy_strong2"), "--blackwell-steps", "200000",
+                 "--seed", "0", *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
 def test_report_kappa_infinity_sentinel():

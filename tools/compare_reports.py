@@ -1,0 +1,121 @@
+"""Diff every report of two lumpchain source trees.
+
+Usage::
+
+    python tools/compare_reports.py PARENT_SRC CHANGE_SRC [--seeds 0 1 2 11]
+
+PARENT_SRC and CHANGE_SRC are directories that hold a ``lumpchain``
+package, such as the ``src`` of two checkouts. Each is imported in a child
+interpreter of its own, which computes:
+
+- ``analyze MODEL --format json`` on every model file under ``models/``:
+  exit code, stdout and stderr;
+- for every ``lattice`` and ``pairs`` item of ``bench/workloads.py`` at each
+  seed: ``format_report(run_analysis(...), "json")`` with the benchmark's
+  configuration, and ``repr(entropy_loss_bound(...))``.
+
+``models/`` and ``bench/workloads.py`` are read from the repository this
+file sits in, and nothing is written. The tool prints each report key whose
+text differs and exits 1 if any does, else it prints the number of reports
+compared and exits 0. A change that must keep every output's bits should
+report 0 differences.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH_WORKLOADS = ("lattice", "pairs")
+
+
+def _workloads():
+    """``bench/workloads.py``, loaded without importing the bench package."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def collect(seeds: list[int]) -> dict[str, str]:
+    """Every report of the ``lumpchain`` this interpreter imports, by key."""
+    import lumpchain as lc
+    from lumpchain.errors import LumpchainError
+
+    reports = {}
+    for path in sorted((ROOT / "models").glob("*.json")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = lc.cli.main(["analyze", str(path), "--format", "json"])
+        reports[f"corpus/{path.stem}"] = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+    workloads = _workloads()
+    for seed in seeds:
+        for workload in BENCH_WORKLOADS:
+            for item in workloads.make_items(workload, seed, ROOT):
+                key = f"{workload}/seed{seed}/{item.key}"
+                chain = lc.build_chain(item.matrix, item.states)
+                lumping = lc.build_lumping(chain, item.assignment)
+                p = item.params
+                config = lc.AnalysisConfig(horizons=p["horizons"], k_range=p["k_range"],
+                                           weak_horizon=p["weak_horizon"])
+                reports[f"{key}/report"] = lc.format_report(
+                    lc.run_analysis(chain, lumping, config), "json")
+                try:
+                    bound = repr(lc.entropy_loss_bound(chain, lumping))
+                except LumpchainError as exc:
+                    bound = f"{type(exc).__name__}: {exc}"
+                reports[f"{key}/loss_bound"] = bound
+    return reports
+
+
+def _dump(argv: list[str]) -> None:
+    """Child side: print the reports of the imported tree as JSON."""
+    import lumpchain
+
+    print(json.dumps({"lumpchain": lumpchain.__file__,
+                      "reports": collect([int(s) for s in argv])}))
+
+
+def _reports(src: pathlib.Path, seeds: list[int]) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tools")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, compare_reports; compare_reports._dump(sys.argv[1:])",
+         *map(str, seeds)],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.exit(f"reports of {src} failed:\n{proc.stderr}")
+    payload = json.loads(proc.stdout)
+    imported = pathlib.Path(payload["lumpchain"]).resolve()
+    if src.resolve() not in imported.parents:
+        sys.exit(f"{src} did not provide lumpchain: {imported} was imported")
+    return payload["reports"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=pathlib.Path)
+    parser.add_argument("change_src", type=pathlib.Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 11])
+    args = parser.parse_args(argv)
+    parent = _reports(args.parent_src, args.seeds)
+    change = _reports(args.change_src, args.seeds)
+    differ = sorted(key for key in parent.keys() | change.keys()
+                    if parent.get(key) != change.get(key))
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(differ)} of {len(parent.keys() | change.keys())} reports differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,6 +39,13 @@ _WEAK_CAVEAT = "no claim beyond the horizon"
 # model files
 
 
+def _label(value, where: str) -> str:
+    """A state or block label: a JSON string or number, as text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ParseError(f"{where}: a label must be a string or a number, got {json.dumps(value)}")
+    return str(value)
+
+
 def _coerce_probability(value, where: str) -> float:
     if isinstance(value, str):
         try:
@@ -74,7 +81,7 @@ def parse_model(path: str, allow_trivial: bool = False) -> tuple[MarkovChain, lp
     states = raw["states"]
     if not isinstance(states, list) or not states:
         raise ParseError(f"{path}: 'states' must be a nonempty list")
-    states = [str(s) for s in states]
+    states = [_label(s, f"{path}: states[{i}]") for i, s in enumerate(states)]
     matrix_raw = raw["transition_matrix"]
     if not isinstance(matrix_raw, list):
         raise ParseError(f"{path}: 'transition_matrix' must be a list of rows")
@@ -97,7 +104,8 @@ def parse_model(path: str, allow_trivial: bool = False) -> tuple[MarkovChain, lp
         raise ParseError(f"{path}: 'lumping' must be an object mapping state to block")
 
     chain = build_chain(matrix, states, zero_threshold=zero_threshold)
-    lumping = lp.build_lumping(chain, {str(k): str(v) for k, v in lump_map.items()},
+    lumping = lp.build_lumping(chain, {k: _label(v, f"{path}: lumping[{k!r}]")
+                                       for k, v in lump_map.items()},
                                allow_trivial=allow_trivial)
     return chain, lumping
 
@@ -157,11 +165,13 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
             raise ValidationError("a Blackwell seed or burn-in needs blackwell_steps")
     elif config.blackwell_seed is None:
         raise ValidationError("blackwell_steps needs a blackwell_seed")
-    # the refusals check_strong_lumpable and lumped_rate_bounds would make, before any work
+    # orders and horizons below 1, refused before any work; the first two as the callees would
     if min(config.k_range, default=1) < 1:
         raise KTooSmall("strong lumpability order must be >= 1")
     if min(config.horizons, default=1) < 1:
         raise ValidationError("n must be >= 1")
+    if config.weak_horizon < 1:
+        raise ValidationError("weak horizon must be >= 1")
     blackwell = None
     if config.blackwell_steps is not None:  # first: its arguments can refuse it at once
         blackwell = ent.blackwell_entropy_estimate(

@@ -337,10 +337,10 @@ _BLACKWELL_CAVEAT = ("time average assumes the belief process is ergodic; "
 
 def _block_entropies(laws: np.ndarray) -> np.ndarray:
     """Row-wise -sum p*log2(p) over the positive entries of a (rows x blocks)
-    array, bit-equal to calling :func:`_plogp` on each row: the positive
-    entries are compressed in row order before the log, and rows are summed
-    in groups with the same number of them, so numpy adds the same terms in
-    the same order."""
+    array, as :func:`_plogp` on each row gives it: the positive entries are
+    compressed in row order before the log, and rows are summed in groups
+    with the same number of them, so numpy adds the same terms in the same
+    order. A row with one positive entry gives -0.0 where it gives 0.0."""
     pos = laws > 0
     p = laws[pos]
     terms = p * np.log2(p)

@@ -19,10 +19,11 @@ states, and a level costs 2 * rows * sum |C|^2 multiply-adds over the chunks
 C it reaches: O(depth * n^2 * (b + sqrt(n))) time at worst for a largest
 block of b states, with the depth at most ``pair_depth_cap``, and Python work
 in proportion to the chunks touched. A greedy walk over it gives
-the index's witness, a search over block words the loss bound's windows,
-which are scored a word at once with semiring products over the word's
-transition blocks, O(words * rows * sum |B_i| |B_{i+1}|) for ``rows`` check
-states per word; only the windows scoring near the best have paths listed.
+the index's witness, a search over block words the loss bound's minimal
+words and the states K_i ⊆ B_i their pair paths visit. Each word's windows
+are scored at once with one chain of semiring products over those states,
+O(words * rows * sum |K_i| |K_{i+1}|) for ``rows`` check states per word;
+only the windows scoring near the best have paths listed.
 The minimal words can be exponentially many, so past a budget the loss bound
 is refused before it scores any; the index itself stays polynomial.
 
@@ -681,34 +682,28 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
 # quantified entropy loss
 
 
-def _window_paths(chain: MarkovChain, lumping: Lumping, check: int,
-                  word: tuple[int, ...], hat: int):
-    """Realisable middles of the witness window, with their probabilities."""
+def _window_paths(chain: MarkovChain, check: int, on: list[np.ndarray], hat: int):
+    """Realisable middles of a window over its kept states ``on``, with their probabilities."""
     adj, P = chain.adjacency, chain.transition
     paths = [((check,), float(chain.stationary[check]))]
-    for b in word:
+    for states in on:
         paths = [(path + (x,), prob * P[path[-1], x]) for path, prob in paths
-                 for x in lumping.member_indices[b].tolist() if adj[path[-1], x]]
+                 for x in states.tolist() if adj[path[-1], x]]
     return [(path[1:], prob * P[path[-1], hat]) for path, prob in paths if adj[path[-1], hat]]
 
 
-def _minimal_windows(chain: MarkovChain, lumping: Lumping, kappa: int, depth: np.ndarray):
-    """Block words of the minimal pair paths with their windows, as
-    ``(word, checks, hats, mask)``: ``mask[i, j]`` is set iff ``(checks[i],
-    word, hats[j])`` is a window.
+def _minimal_words(chain: MarkovChain, lumping: Lumping, kappa: int, depth: np.ndarray):
+    """Block words of the minimal pair paths with their kept states, as
+    ``(word, on)``: ``on[i]`` holds the states of the level-(i+1) pairs
+    reachable along the word.
 
     A stack search extends a word one block at a time, carrying the level's
     kept pairs reachable along it. At the minimal index two middle paths of
-    one window differ at every step, so they run over those pairs' states,
-    and the windows are the (check, hat) with two such paths: products of
-    path counts clipped at 2, exact in float32. Every word the search
-    extends leads to a minimal one, so a budget on those bounds the search.
+    one window differ at every step, so every middle path of a window runs
+    over those pairs' states. Every word the search extends leads to a
+    minimal one, so a budget on those bounds the search.
     """
-    A = chain.adjacency.astype(np.float32)  # a sum of non-negative terms is > 0 iff one is
-    of_state = lumping.of_state
-    r, c = np.nonzero(depth)
-    on_level = np.zeros((kappa + 1, chain.n), dtype=bool)  # states on a pair of each level
-    on_level[depth[r, c], r] = True
+    adj, of_state = chain.adjacency, lumping.of_state
     found, stack = [], [((), [], None)]
     while stack:
         word, on, M = stack.pop()
@@ -719,25 +714,17 @@ def _minimal_windows(chain: MarkovChain, lumping: Lumping, kappa: int, depth: np
                                       f"the loss bound's {_WINDOW_STEP_BUDGET} word steps")
             continue
         d = len(word) + 1
-        reach = np.flatnonzero(on_level[d] & A[on[-1]].any(axis=0) if word else on_level[d])
+        reach = np.flatnonzero(adj[on[-1]].any(axis=0) if word else (depth == 1).any(axis=1))
         for b in sorted(set(of_state[reach].tolist())):
             y = reach[of_state[reach] == b]
             step = depth[y[:, None], y] == d
             if word:
-                T = A[on[-1][:, None], y]
+                T = adj[on[-1][:, None], y].astype(np.float32)  # > 0 iff one term is
                 step &= T.T @ M @ T > 0
             kept = step.any(axis=1)  # = step.any(axis=0): the pairs are symmetric
             if kept.any():
                 stack.append(((*word, b), [*on, y[kept]], step[kept][:, kept]))
-    for word, on in found:
-        rows = np.flatnonzero(A[:, on[0]].sum(axis=1) >= 2)
-        cols = np.flatnonzero(A[on[-1]].sum(axis=0) >= 2)
-        C = A[rows[:, None], on[0]]
-        for x, y in zip(on, on[1:]):
-            C = np.minimum(C @ A[x[:, None], y], 2)
-        mask = C @ A[on[-1][:, None], cols] >= 2
-        has_row, has_col = mask.any(axis=1), mask.any(axis=0)
-        yield word, rows[has_row], cols[has_col], mask[has_row][:, has_col]
+    return found
 
 
 def _max_times(V: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -773,17 +760,19 @@ def entropy_loss_bound(chain: MarkovChain, lumping: Lumping) -> LossBound | None
 
     Among the minimal witness windows the one maximising alpha times the
     window entropy is reported; any window yields a sound bound, the maximum
-    is simply the strongest one found. The windows of every minimal block
-    word come from the pair levels (``_minimal_windows``), so the maximum
-    runs over all of them. The traversal-rate constant alpha uses the most
-    probable realisable path through the chosen window.
+    is simply the strongest one found. The minimal block words and the
+    states K_i ⊆ B_i their pair paths visit come from the pair levels
+    (``_minimal_words``), and every middle path of a window runs over them,
+    so the maximum runs over all windows. The traversal-rate constant alpha
+    uses the most probable realisable path through the chosen window.
 
-    Every window of one block word is scored at once by products over the
-    word's transition blocks ``P[B_i, B_{i+1}]``, from the window check
-    states to the hat states: ordinary products give the total mass Z of the
-    middle paths, the expectation semiring their sum S of p·log2 p, and
-    max-times products the top path, so the window entropy is
-    ``log2 Z - S/Z``. That costs O(words · rows · Σ|B_i|·|B_{i+1}|) for
+    Every window of one block word is scored at once by one chain of
+    products over the word's transition blocks ``P[K_i, K_{i+1}]``, from
+    the check states to the hat states: ordinary products give the total
+    mass Z of the middle paths, the expectation semiring their sum S of
+    p·log2 p, max-times products the top path, and path counts clipped at
+    2 the windows, the cells with two paths or more; the window entropy is
+    ``log2 Z - S/Z``. That costs O(words · rows · Σ|K_i|·|K_{i+1}|) for
     ``rows`` check states per word. Only the windows whose score lies
     within a rounding margin of the best are then scored exactly from
     their enumerated paths, and the best of those is reported, so the
@@ -798,47 +787,46 @@ def _loss_bound(chain: MarkovChain, lumping: Lumping, kappa, depth) -> LossBound
     """``entropy_loss_bound`` from the pair levels."""
     if not math.isfinite(kappa):
         return None
-    P, mu = chain.transition, chain.stationary
-    scored = []  # (word, checks, hats, score, rounding bound) per word
-    for word, rows, cols, mask in _minimal_windows(chain, lumping, kappa, depth):
-        states = [rows, *(lumping.member_indices[b] for b in word), cols]
+    P, mu, adj = chain.transition, chain.stationary, chain.adjacency
+    scored = []  # (word, kept states, checks, hats, score, rounding bound) per word
+    for word, on in _minimal_words(chain, lumping, kappa, depth):
+        checks = np.flatnonzero(adj[:, on[0]].sum(axis=1) >= 2)
+        hats = np.flatnonzero(adj[on[-1]].sum(axis=0) >= 2)
+        states = [checks, *on, hats]
         for i, (a, b) in enumerate(zip(states, states[1:])):
             T = P[a[:, None], b]
             TlogT = np.maximum(T, _TINY)
             np.log2(TlogT, out=TlogT)
             TlogT *= T  # -0.0 where T is 0
+            E = (T > 0).astype(np.float32)  # path counts clipped at 2 are exact in float32
             if i == 0:
-                Z, S, V = T, TlogT, T
+                Z, S, V, C = T, TlogT, T, E
             else:
                 Z, S, V = Z @ T, S @ T + Z @ TlogT, _max_times(V, T)
-        r, c = np.nonzero(mask)
+                C = np.minimum(C @ E, 2)
+        r, c = np.nonzero(C >= 2)  # the windows
         logz, mean = np.log2(Z[r, c]), S[r, c] / Z[r, c]
-        alpha = mu[rows[r]] * V[r, c] / (2.0 * (kappa + 2))
+        alpha = mu[checks[r]] * V[r, c] / (2.0 * (kappa + 2))
         # a relative 1e-9 of both terms, and an absolute 1e-12 bits for
         # log2 Z near 0, where the two cancel on nearly deterministic windows
         bound = alpha * (1e-9 * (np.abs(logz) + np.abs(mean)) + 1e-12)
-        scored.append((word, rows[r], cols[c], alpha * (logz - mean), bound))
+        scored.append((word, on, checks[r], hats[c], alpha * (logz - mean), bound))
     floor = max(float(np.max(score - bound)) for *_, score, bound in scored)
-    triples = []  # the windows that may beat every other one
-    for word, checks, hats, score, bound in scored:
-        near = score + bound >= floor
-        triples += [(check, word, hat)
-                    for check, hat in zip(checks[near].tolist(), hats[near].tolist())]
-    triples.sort()
 
-    best = None
-    for check, word, hat in triples:
-        paths = _window_paths(chain, lumping, check, word, hat)
-        probs = np.array([p for _, p in paths])
-        loss = _plogp(probs / probs.sum())
-        top, top_prob = min(paths, key=lambda pp: (-pp[1], pp[0]))  # most probable, least on ties
-        alpha = float(top_prob) / (2.0 * (kappa + 2))
-        score = alpha * loss
-        other = min(path for path, _ in paths if path != top)
-        key = (-score, check, word, hat)
-        if best is None or key < best[0]:
-            witness = _witness(chain, lumping, check, top, other, hat)
-            best = (key, LossBound(witness=witness, loss_entropy=loss, alpha=alpha,
-                                   rate_lower_bound=alpha * loss,
-                                   growth_constant=2.0 ** alpha))
+    best = None  # the windows that may beat every other one, scored exactly
+    for word, on, checks, hats, score, bound in scored:
+        near = score + bound >= floor
+        for check, hat in zip(checks[near].tolist(), hats[near].tolist()):
+            paths = _window_paths(chain, check, on, hat)
+            probs = np.array([p for _, p in paths])
+            loss = _plogp(probs / probs.sum())
+            top, top_prob = min(paths, key=lambda q: (-q[1], q[0]))  # most probable, least on ties
+            alpha = float(top_prob) / (2.0 * (kappa + 2))
+            key = (-alpha * loss, check, word, hat)  # unique, so the order of the loop is free
+            if best is None or key < best[0]:
+                other = min(path for path, _ in paths if path != top)
+                best = (key, LossBound(witness=_witness(chain, lumping, check, top, other, hat),
+                                       loss_entropy=loss, alpha=alpha,
+                                       rate_lower_bound=alpha * loss,
+                                       growth_constant=2.0 ** alpha))
     return best[1]

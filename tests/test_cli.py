@@ -116,6 +116,14 @@ def test_parse_model_bad_fraction(tmp_path):
     ("options", {"allow_trivial_lumping": "false"}, "allow_trivial_lumping"),
     ("options", {"allow_trivial_lumping": 1}, "allow_trivial_lumping"),
     ("options", {"exact_zero_mode": "true"}, "exact_zero_mode"),
+    ("lumping", {"u": None, "v": "A"}, r"lumping\['u'\]"),
+    ("lumping", {"u": "A", "v": False}, r"lumping\['v'\]"),
+    ("lumping", {"u": ["A"], "v": "A"}, r"lumping\['u'\]"),
+    ("lumping", {"u": "A", "v": {"b": "A"}}, r"lumping\['v'\]"),
+    ("states", [None, "v"], r"states\[0\]"),
+    ("states", ["u", True], r"states\[1\]"),
+    ("states", [["u"], "v"], r"states\[0\]"),
+    ("states", ["u", {"v": 1}], r"states\[1\]"),
 ))
 def test_parse_model_checks_field_types(tmp_path, capsys, field, value, named):
     payload = {
@@ -131,6 +139,16 @@ def test_parse_model_checks_field_types(tmp_path, capsys, field, value, named):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_parse_model_takes_number_labels_as_text(tmp_path):
+    chain, lumping = parse_model(write_model(tmp_path, {
+        "states": [0, 1.5, "c"],
+        "transition_matrix": [[0, 0.5, 0.5], [1, 0, 0], [1, 0, 0]],
+        "lumping": {"0": 7, "1.5": 7, "c": 2.5},
+    }))
+    assert chain.states == ("0", "1.5", "c")
+    assert lumping.map == {"0": "7", "1.5": "7", "c": "2.5"}
 
 
 @pytest.mark.parametrize("where", ("matrix",))
@@ -290,11 +308,14 @@ BAD_ORDER_OR_HORIZON = [
     (dict(horizons=(0,)), ["--horizons", "0"], ValidationError, "n must be >= 1"),
     (dict(k_range=(0,)), ["--k-range", "0"], KTooSmall,
      "strong lumpability order must be >= 1"),
+    (dict(weak_horizon=0), ["--weak-horizon", "0"], ValidationError, "weak horizon must be >= 1"),
+    (dict(weak_horizon=-3), ["--weak-horizon", "-3"], ValidationError,
+     "weak horizon must be >= 1"),
 ]
 
 
 @pytest.mark.parametrize("fields, flags, error, message", BAD_ORDER_OR_HORIZON,
-                         ids=["horizon", "order"])
+                         ids=["horizon", "order", "weak-horizon-0", "weak-horizon-negative"])
 def test_run_analysis_refuses_a_bad_order_or_horizon_before_any_work(
         monkeypatch, capsys, fields, flags, error, message):
     # the refusal depends on the arguments alone, so neither the estimate nor

@@ -1,10 +1,11 @@
 """The pair-level kernel against the pair-path enumeration.
 
 ``split_merge_index`` finds its witness by a greedy walk over the pair
-levels. ``entropy_loss_bound`` finds the windows of every minimal block word
-by count products over the same levels, scores them all at once with
-semiring matrix products and enumerates paths only for the windows whose
-score lies within a rounding margin of the best.
+levels. ``entropy_loss_bound`` finds every minimal block word and the
+states its pair paths visit over the same levels, finds and scores all the
+word's windows with one chain of count and semiring matrix products over
+those states, and enumerates paths only for the windows whose score lies
+within a rounding margin of the best.
 ``oracles.split_merge_by_enumeration`` and
 ``oracles.loss_bound_by_enumeration`` list every minimal pair path and every
 window. Each pair must agree in ``repr()``: same witness, same floats; and
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, bench_workloads
 from lumpchain import (
     build_chain,
     build_lumping,
@@ -237,6 +238,26 @@ def test_pair_search_peak_memory(instance):
     assert peak <= 2 * chain.transition.nbytes
 
 
+def test_loss_bound_peak_memory_on_a_large_sparse_chain():
+    # the bound reads only the states the minimal pair paths visit: no copy
+    # of the (n x n) adjacency or pair levels beyond one boolean scan
+    n = 1000
+    workloads = bench_workloads()
+    matrix, blocks = workloads.sparse_chain(np.random.default_rng([7, n, 4, 3]), n, 4, 3)
+    item = workloads.Item(key="", kind="analysis", matrix=matrix, blocks=blocks)
+    chain = build_chain(item.matrix, item.states)
+    lumping = build_lumping(chain, item.assignment)
+    kappa, depth = lumping_module._pair_levels(chain, lumping)
+    assert chain.stationary.any()  # cached before tracing, as in an analysis
+    tracemalloc.start()
+    try:
+        bound = lumping_module._loss_bound(chain, lumping, kappa, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound is not None and peak < 2 * n * n
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_matches_oracle_on_small_chains(seed):
@@ -301,7 +322,7 @@ def test_words_follow_pairs_not_single_states():
         {**dict.fromkeys(("x1", "x2", "x3", "x4"), "X"), **dict.fromkeys(("y1", "y2"), "Y"),
          **dict.fromkeys(("w1", "w2"), "W"), **dict.fromkeys(("z1", "z2"), "Z"),
          **dict.fromkeys(("v1", "v2"), "V")})
-    words = {word for word, *_ in lumping_module._minimal_windows(
+    words = {word for word, *_ in lumping_module._minimal_words(
         chain, lumping, *lumping_module._pair_levels(chain, lumping))}
     assert {tuple(lumping.blocks[b] for b in word) for word in words} == {
         ("X", "Y"), ("X", "W"), ("Z", "V")}
@@ -361,7 +382,7 @@ def layered_chain(levels):
 
 def test_every_minimal_word_scored_under_the_budget():
     chain, lumping = layered_chain(4)
-    assert len(list(lumping_module._minimal_windows(
+    assert len(list(lumping_module._minimal_words(
         chain, lumping, *lumping_module._pair_levels(chain, lumping)))) == 16
     assert assert_matches_oracle(chain, lumping).witness.kappa == 4
 

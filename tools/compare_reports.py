@@ -12,7 +12,10 @@ interpreter of its own, which computes:
   exit code, stdout and stderr;
 - for every ``lattice`` and ``pairs`` item of ``bench/workloads.py`` at each
   seed: ``format_report(run_analysis(...), "json")`` with the benchmark's
-  configuration, and ``repr(entropy_loss_bound(...))``.
+  configuration, and ``repr(entropy_loss_bound(...))``;
+- ``repr(entropy_loss_bound(...))`` on four large sparse chains,
+  ``sparse_chain(np.random.default_rng([7, n, nb, d]), n, nb, d)`` of
+  ``bench/workloads.py`` for each (n, nb, d) in ``LARGE_CHAINS``.
 
 ``models/`` and ``bench/workloads.py`` are read from the repository this
 file sits in, and nothing is written. The tool prints each report key whose
@@ -35,6 +38,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_WORKLOADS = ("lattice", "pairs")
+LARGE_CHAINS = ((1000, 4, 3), (2000, 4, 3), (300, 2, 40), (600, 3, 20))  # n, blocks, out-degree
 
 
 def _workloads():
@@ -46,10 +50,22 @@ def _workloads():
     return module
 
 
-def collect(seeds: list[int]) -> dict[str, str]:
-    """Every report of the ``lumpchain`` this interpreter imports, by key."""
+def _loss_bound(chain, lumping) -> str:
+    """``repr`` of the loss bound, or the refusal it raises."""
     import lumpchain as lc
     from lumpchain.errors import LumpchainError
+
+    try:
+        return repr(lc.entropy_loss_bound(chain, lumping))
+    except LumpchainError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def collect(seeds: list[int]) -> dict[str, str]:
+    """Every report of the ``lumpchain`` this interpreter imports, by key."""
+    import numpy as np
+
+    import lumpchain as lc
 
     reports = {}
     for path in sorted((ROOT / "models").glob("*.json")):
@@ -69,11 +85,14 @@ def collect(seeds: list[int]) -> dict[str, str]:
                                            weak_horizon=p["weak_horizon"])
                 reports[f"{key}/report"] = lc.format_report(
                     lc.run_analysis(chain, lumping, config), "json")
-                try:
-                    bound = repr(lc.entropy_loss_bound(chain, lumping))
-                except LumpchainError as exc:
-                    bound = f"{type(exc).__name__}: {exc}"
-                reports[f"{key}/loss_bound"] = bound
+                reports[f"{key}/loss_bound"] = _loss_bound(chain, lumping)
+    for n, nb, d in LARGE_CHAINS:
+        matrix, blocks = workloads.sparse_chain(np.random.default_rng([7, n, nb, d]), n, nb, d)
+        item = workloads.Item(key=f"large/n{n}-b{nb}-d{d}", kind="analysis",
+                              matrix=matrix, blocks=blocks)
+        chain = lc.build_chain(item.matrix, item.states)
+        reports[f"{item.key}/loss_bound"] = _loss_bound(
+            chain, lc.build_lumping(chain, item.assignment))
     return reports
 
 

@@ -40,7 +40,8 @@ _WEAK_CAVEAT = "no claim beyond the horizon"
 
 
 def _label(value, where: str) -> str:
-    """A state or block label: a JSON string or number, as text."""
+    """A state or block label: a JSON string or number, as text; a decimal
+    number keeps the text it is written with."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ParseError(f"{where}: a label must be a string or a number, got {json.dumps(value)}")
     return str(value)
@@ -68,7 +69,7 @@ def parse_model(path: str, allow_trivial: bool = False) -> tuple[MarkovChain, lp
     ``allow_trivial_lumping`` option is true."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=str)  # a label keeps its text
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

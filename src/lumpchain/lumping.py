@@ -11,26 +11,27 @@ Realisability is structural throughout: a path is realisable iff every
 consecutive pair is an edge of the transition graph, which under an
 irreducible chain coincides with positive stationary path probability.
 
-The split-merge index and the loss bound read one kernel: the levels of the
-same-block state pairs on minimal pair paths, one ``(n x n)`` small-int
-matrix from a forward search and a backward sweep. Both hold a level only on
-the block diagonal, cut into chunks of whole blocks of at least 2 sqrt(n)
-states, and a level costs 2 * rows * sum |C|^2 multiply-adds over the chunks
-C it reaches: O(depth * n^2 * (b + sqrt(n))) time at worst for a largest
-block of b states, with the depth at most ``pair_depth_cap``, and Python work
-in proportion to the chunks touched. A greedy walk over it gives
-the index's witness, a search over block words the loss bound's minimal
-words and the states K_i ⊆ B_i their pair paths visit. Each word's windows
-are scored at once with one chain of semiring products over those states,
-O(words * rows * sum |K_i| |K_{i+1}|) for ``rows`` check states per word;
-only the windows scoring near the best have paths listed.
-The minimal words can be exponentially many, so past a budget the loss bound
-is refused before it scores any; the index itself stays polynomial.
+The split-merge index, the loss bound and the single forward k-sequence
+check read one pair kernel: same-block state pairs held on the block diagonal
+only, cut into chunks of whole blocks of at least 2 sqrt(n) states, a level a
+boolean matrix per chunk, a step 2 * rows * sum |C|^2 multiply-adds over the
+chunks C it reaches and Python work in proportion to the chunks. The index
+and the loss bound read the levels of the pairs on minimal pair paths, one
+``(n x n)`` small-int matrix from a forward search and a backward sweep:
+O(depth * n^2 * (b + sqrt(n))) time at worst for a largest block of b states,
+the depth at most ``pair_depth_cap``. A greedy walk over it gives the index's
+witness, a search over block words the loss bound's minimal words and the
+states K_i ⊆ B_i their pair paths visit. Each word's windows are scored at
+once with one chain of semiring products over those states, O(words * rows *
+sum |K_i| |K_{i+1}|) for ``rows`` check states per word; only the windows
+scoring near the best have paths listed. The minimal words can be
+exponentially many, so past a budget the loss bound is refused before it
+scores any; the index itself stays polynomial.
 
-The single forward k-sequence check builds backward tables over the same
-pairs, diagonal included, with two ``(n x n)`` products per level, and a
-greedy walk over them rebuilds the first violating state sequence: O(k * n^3)
-time, and no verdict enumerates state paths. The single-entry check is one
+The k-sequence check steps k - 2 levels back from every same-block pair,
+diagonal included, with one fork product per chunk a level, and a greedy
+walk rebuilds the first violating state sequence: O(k * n * sum |C|^2) time,
+and no verdict enumerates state paths. The single-entry check is one
 ``(n x blocks)`` count product. The weak and strong checks read the tables
 and per-level entropies of one block-word lattice (``entropy.lattice``).
 """
@@ -57,7 +58,7 @@ from .errors import (
 )
 
 DEFAULT_PROB_TOL = 1e-9
-_SFS_TABLE_BUDGET = 1 << 22  # SFS table cells over all levels: (k-1) * n^2 bytes
+_SFS_TABLE_BUDGET = 1 << 22  # SFS table cells over all levels: (k-1) * sum |C|^2 bytes
 _WINDOW_STEP_BUDGET = 1 << 14  # loss bound: minimal block words times their length
 _MAX_TIMES_SLICE = 1 << 16  # max-times products formed at once: 512 KiB of floats
 
@@ -319,6 +320,31 @@ def _pair_step(X, level, spans, reach, depth, want):
     return _chunk_pairs(touched, X, G, spans, depth, want)
 
 
+def _chunk_spans(lumping: Lumping) -> list[tuple[int, int]]:
+    """The chunks: runs of whole blocks, in order, of at least 2 sqrt(n) states."""
+    n, cuts = len(lumping.of_state), [0]
+    for end in itertools.accumulate(map(len, lumping.member_indices)):
+        if end - cuts[-1] >= 2 * math.sqrt(n) or end == n:
+            cuts.append(end)
+    return list(zip(cuts, cuts[1:]))
+
+
+def _chunk_layout(chain: MarkovChain, lumping: Lumping):
+    """The block-diagonal layout of the pair kernels: ``order`` renumbers the
+    states block by block, so each chunk of ``_chunk_spans`` is a diagonal
+    square; the float32 adjacency in that order; and a small-int ``mask``,
+    nonzero on the cells of a square that join two blocks."""
+    spans, order = _chunk_spans(lumping), np.concatenate(lumping.member_indices)
+    A = chain.adjacency[order][:, order].astype(np.float32)  # a sum is > 0 iff a term is
+    # signed and small, for less peak memory; only the chunks' squares are read
+    mask = np.zeros((chain.n, chain.n), np.min_scalar_type(-pair_depth_cap(lumping) - 1))
+    block = lumping.of_state[order]
+    for s, e in spans:
+        if block[s] != block[e - 1]:
+            mask[s:e, s:e][block[s:e, None] != block[None, s:e]] = np.iinfo(mask.dtype).max
+    return order, spans, A, mask
+
+
 def _pair_levels(chain: MarkovChain, lumping: Lumping):
     """Split-merge index and the level of every pair on a minimal pair path.
 
@@ -332,36 +358,15 @@ def _pair_levels(chain: MarkovChain, lumping: Lumping):
     (u, v) is the d-th pair of a minimal pair path, and ``depth`` is
     symmetric.
 
-    Only the block diagonal holds pairs. The states are renumbered block by
-    block and the blocks merged, in order, into chunks of at least 2 sqrt(n)
-    states, so a chunk is a square on the diagonal; a larger block is a chunk
-    of its own, and many small blocks share one product masked to their
-    same-block pairs. A level is a boolean matrix for each chunk it touches.
-    A step multiplies each by its rows of the adjacency (its transpose going
-    back), then forms ``X.T @ G`` on each chunk those rows reach: per level
-    2 * rows * sum |C|^2 multiply-adds over the chunks C reached, ``rows``
-    being the states of the level's chunks, and Python work in proportion to
-    the chunks touched. Peak memory is the float32 adjacency (4 n^2 bytes),
-    the levels' ``(n x n)`` small ints and one step's rows of the adjacency,
-    G and chunk products (4 n^2 bytes each at most): about 2 *
-    ``chain.transition.nbytes`` (16 n^2 bytes), pinned on 300 states.
+    Levels are held per chunk (``_chunk_layout``), and a step (``_pair_step``)
+    costs 2 * rows * sum |C|^2 multiply-adds, ``rows`` being the states of the
+    level's chunks. Peak memory is the float32 adjacency, the ``(n x n)`` small
+    ints and one step's rows of the adjacency, G and chunk products (4 n^2
+    bytes each at most): about 2 * ``chain.transition.nbytes``, pinned on 300
+    states.
     """
-    n = chain.n
-    cuts = [0]
-    for end in itertools.accumulate(map(len, lumping.member_indices)):
-        if end - cuts[-1] >= 2 * math.sqrt(n) or end == n:
-            cuts.append(end)
-    spans = list(zip(cuts, cuts[1:]))
-    order = np.concatenate(lumping.member_indices)
-    A = chain.adjacency[order][:, order].astype(np.float32)  # a sum of non-negative terms is > 0 iff one is
-    level_type = np.min_scalar_type(-pair_depth_cap(lumping) - 1)  # signed, small: less peak memory
-    apart = np.iinfo(level_type).max  # never a level: marks the cells of a chunk that are no pair
-    depth = np.zeros((n, n), dtype=level_type)  # only the chunks' squares are read
-    np.fill_diagonal(depth, apart)
-    block = lumping.of_state[order]
-    for s, e in spans:
-        if block[s] != block[e - 1]:
-            depth[s:e, s:e][block[s:e, None] != block[None, s:e]] = apart
+    order, spans, A, depth = _chunk_layout(chain, lumping)
+    np.fill_diagonal(depth, np.iinfo(depth.dtype).max)  # a state and itself are no pair
     level = _chunk_pairs(range(len(spans)), A, A, spans, depth, 0)  # one step from every (x, x)
     ends = [A[s:e] @ A[s:e].T > 0 for s, e in spans]  # pairs with a common successor
     kappa = 1
@@ -373,7 +378,8 @@ def _pair_levels(chain: MarkovChain, lumping: Lumping):
             s, e = spans[c]
             depth[s:e, s:e][F] = kappa
         if kappa == 1:  # the chunks each chunk's states step into, forward and back
-            graph = np.add.reduceat(np.add.reduceat(A, cuts[:-1], axis=0), cuts[:-1], axis=1) > 0
+            starts = [s for s, _ in spans]
+            graph = np.add.reduceat(np.add.reduceat(A, starts, axis=0), starts, axis=1) > 0
             succ, pred = ([np.flatnonzero(g).tolist() for g in m] for m in (graph, graph.T))
         level = _pair_step(A, level, spans, succ, depth, 0)
         kappa += 1
@@ -464,23 +470,38 @@ def check_single_entry(chain: MarkovChain, lumping: Lumping) -> SingleEntryResul
         successor_b=chain.states[int(hits[1])]))
 
 
-def _sfs_tables(adj: np.ndarray, same: np.ndarray, levels: int):
-    """Backward completion tables over same-block state pairs, indexed by the
-    number of steps left.
+def _sfs_tables(chain: MarkovChain, lumping: Lumping, levels: int):
+    """Backward completion tables, by the number r of steps left: ``pairs[r]``
+    marks the same-block pairs (u, v), u = v included, from which two state
+    paths of r more steps share one block word, ``forks[r]`` the states u
+    from which two different such paths leave. Above level 0 each level is a
+    ``_pair_step`` back over every chunk (a level pairs each state with
+    itself), held per chunk C, and a product per chunk for ``forks``: 3 * n *
+    sum |C|^2 multiply-adds. Returns ``row(r, y)``, y's row of ``pairs[r]``,
+    and ``forks``, both in state order."""
+    of_state, forks = lumping.of_state, [np.zeros(chain.n, dtype=bool)]
+    if levels > 1:  # level 0 is every same-block pair: no layout
+        order, spans, A, mask = _chunk_layout(chain, lumping)
+        at, every = np.argsort(order), [range(len(spans))] * len(spans)
+        chunk = np.repeat(np.arange(len(spans)), [e - s for s, e in spans])[at]  # of each state
+        level, pairs = [(c, mask[s:e, s:e] == 0) for c, (s, e) in enumerate(spans)], [None]
+        for _ in range(levels - 1):
+            fork = A @ forks[-1][order] > 0
+            for c, F in level:
+                AC, apart = A[:, spans[c][0]:spans[c][1]], F.copy()
+                np.fill_diagonal(apart, False)  # AC @ apart: successors y != y' paired with y'
+                fork |= (AC @ apart * AC).any(axis=1)
+            forks.append(fork[at])
+            level = _pair_step(A.T, level, spans, every, mask, 0)
+            pairs.append(dict(level))
 
-    ``pairs[r]`` marks the same-block pairs (u, v), u = v included, from which
-    two state paths of r more steps share one block word; ``forks[r]`` marks
-    the states u from which two different such paths leave. Each level costs
-    two ``(n x n)`` products; level 0 needs none.
-    """
-    A = adj.astype(np.float32)  # exact: the first product's counts stay below n + 1
-    pairs, forks = [same], [np.zeros(len(adj), dtype=bool)]
-    for _ in range(levels - 1):
-        AC = A @ pairs[-1]  # (u, y'): successors y of u with (y, y') a pair
-        apart = (AC - A * np.diagonal(pairs[-1])) > 0  # ... with y != y'
-        forks.append((apart & adj).any(axis=1) | (A @ forks[-1] > 0))
-        pairs.append(same & (AC @ A.T > 0))
-    return pairs, forks
+    def row(r, y):
+        if r == 0:
+            return of_state == of_state[y]
+        (s, e), out = spans[chunk[y]], np.zeros(len(of_state), dtype=bool)
+        out[order[s:e]] = pairs[r][chunk[y]][at[y] - s]
+        return out
+    return row, forks
 
 
 def check_sfs(chain: MarkovChain, lumping: Lumping, k: int) -> SfsResult:
@@ -499,21 +520,20 @@ def check_sfs(chain: MarkovChain, lumping: Lumping, k: int) -> SfsResult:
     be completed into a violation, and a greedy walk takes the smallest
     successor that can, tracking the earlier sequences that may differ from
     it: the one that is equal so far, those with a smaller start and the same
-    path, and those already smaller and diverged. Cost: O(k * n^3) at worst,
-    with no matrix product at k = 2; ``(k-1) * n^2`` table cells above
+    path, and those already smaller and diverged. Cost: one pair step and one
+    fork product per level on the block-diagonal chunks C, O(k * n * sum
+    |C|^2), none at k = 2; ``(k-1) * sum |C|^2`` table cells above
     ``_SFS_TABLE_BUDGET`` are refused before anything is allocated.
     """
     if k < 2:
         raise KTooSmall("the forward-sequence property needs k >= 2")
     n = chain.n
-    cells = (k - 1) * n * n
+    cells = (k - 1) * sum((e - s) ** 2 for s, e in _chunk_spans(lumping))
     if cells > _SFS_TABLE_BUDGET:
-        raise HorizonTooLarge(f"SFS tables for k={k} need {k - 1} levels of {n}x{n} "
-                              f"state pairs, {cells} cells over the budget {_SFS_TABLE_BUDGET}")
-    adj = chain.adjacency
-    of_state = lumping.of_state
-    same = of_state[:, None] == of_state[None, :]
-    pairs, forks = _sfs_tables(adj, same, k - 1)
+        raise HorizonTooLarge(f"SFS tables for k={k} need {k - 1} levels of same-chunk state "
+                              f"pairs, {cells} cells over the budget {_SFS_TABLE_BUDGET}")
+    adj, of_state = chain.adjacency, lumping.of_state
+    pair_row, forks = _sfs_tables(chain, lumping, k - 1)
 
     def first_completable(u, loose, diverged, left):
         """Position among u's successors of the first one, y, that a
@@ -529,7 +549,7 @@ def check_sfs(chain: MarkovChain, lumping: Lumping, k: int) -> SfsResult:
         S = np.flatnonzero(adj[u])
         partners = loose | diverged
         for i, y in enumerate(S.tolist()):
-            paired = pairs[left][y]
+            paired = pair_row(left, y)
             near = paired & partners
             near[y] = paired[y] and diverged[y]
             if forks[left][y] or near.any() or paired[S[:i]].any():
@@ -550,17 +570,16 @@ def check_sfs(chain: MarkovChain, lumping: Lumping, k: int) -> SfsResult:
     diverged = none
     while len(path) < k - 1:
         y = path[-1]
-        now = loose & same[y]  # partners on y's block after this step, all diverged
-        now[y] = False
-        now |= diverged & same[y]
-        now[S[:i]] |= same[y, S[:i]]
+        now = (loose | diverged) & (of_state == of_state[y])  # partners on y's block
+        now[y] = diverged[y]  # after this step, all diverged
+        now[S[:i]] |= of_state[S[:i]] == of_state[y]
         loose = adj[y] if loose[y] else none
         diverged = now @ adj
         S, i = first_completable(y, loose, diverged, k - 2 - len(path))
         path.append(int(S[i]))
 
     # the first sequence with this start block and block word
-    first = _smallest_path(adj, [same[y] for y in (x0, *path)])
+    first = _smallest_path(adj, [of_state == of_state[y] for y in (x0, *path)])
     return SfsResult(order_k=k, holds=False, violation=SfsViolation(
         block_word=tuple(lumping.blocks[of_state[y]] for y in path),
         start_block=lumping.blocks[of_state[x0]],

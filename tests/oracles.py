@@ -1025,3 +1025,23 @@ def first_sfs_violation(chain, lumping, k):
         if bad is not None:
             break
     return SfsResult(order_k=k, holds=bad is None, violation=bad)
+
+
+def sfs_tables_dense(adj, same, levels):
+    """The SFS backward tables as ``(n x n)`` products over the whole chain.
+
+    A frozen copy of the library's original dense kernel, kept as the
+    reference for the block-diagonal one. ``pairs[r]`` marks the same-block
+    pairs (u, v), u = v included, from which two state paths of r more steps
+    share one block word; ``forks[r]`` marks the states u from which two
+    different such paths leave. Both are indexed by the number of steps left
+    and by state index; each level costs two ``(n x n)`` products.
+    """
+    A = adj.astype(np.float32)  # exact: the first product's counts stay below n + 1
+    pairs, forks = [same], [np.zeros(len(adj), dtype=bool)]
+    for _ in range(levels - 1):
+        AC = A @ pairs[-1]  # (u, y'): successors y of u with (y, y') a pair
+        apart = (AC - A * np.diagonal(pairs[-1])) > 0  # ... with y != y'
+        forks.append((apart & adj).any(axis=1) | (A @ forks[-1] > 0))
+        pairs.append(same & (AC @ A.T > 0))
+    return pairs, forks

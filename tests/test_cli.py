@@ -149,6 +149,25 @@ def test_parse_model_takes_number_labels_as_text(tmp_path):
     }))
     assert chain.states == ("0", "1.5", "c")
     assert lumping.map == {"0": "7", "1.5": "7", "c": "2.5"}
+    # a decimal keeps the text it is written with, so a lumping key finds it
+    for number in ("1e2", "1E2", "1.0", "100.0", "1.50", "-0.0", "2.5e-3"):
+        path = tmp_path / f"label{number}.json"
+        path.write_text(f'{{"states": [{number}, "b", "c"], '
+                        f'"transition_matrix": [[0, 0.5, 0.5], [1, 0, 0], [1, 0, 0]], '
+                        f'"lumping": {{"{number}": {number}, "b": {number}, "c": 2}}}}')
+        chain, lumping = parse_model(str(path))
+        assert chain.states == (number, "b", "c")
+        assert lumping.map == {number: number, "b": number, "c": "2"}
+
+
+@pytest.mark.parametrize("entry", ("0.1", "1e-1", "1E-1", "0.10", "1.0e-1"))
+def test_parse_model_reads_a_decimal_entry_as_its_double(tmp_path, entry):
+    path = tmp_path / "model.json"
+    path.write_text(f'{{"states": ["a", "b"], "transition_matrix": [[{entry}, 0.9], [0.5, 0.5]], '
+                    f'"lumping": {{"a": "A", "b": "B"}}, '
+                    f'"options": {{"allow_trivial_lumping": true}}}}')
+    chain, _ = parse_model(str(path))
+    assert chain.transition[0, 0] == 0.1 and chain.transition[0, 1] == 0.9
 
 
 @pytest.mark.parametrize("where", ("matrix",))

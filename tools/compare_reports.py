@@ -12,10 +12,15 @@ interpreter of its own, which computes:
   exit code, stdout and stderr;
 - for every ``lattice`` and ``pairs`` item of ``bench/workloads.py`` at each
   seed: ``format_report(run_analysis(...), "json")`` with the benchmark's
-  configuration, and ``repr(entropy_loss_bound(...))``;
-- ``repr(entropy_loss_bound(...))`` on four large sparse chains,
+  configuration, ``repr(entropy_loss_bound(...))`` and
+  ``repr(check_sfs(..., k))`` for k = 2, 3, 4;
+- ``repr(entropy_loss_bound(...))`` and ``repr(check_sfs(..., k))`` for
+  k = 2, 3, 4 on four large sparse chains,
   ``sparse_chain(np.random.default_rng([7, n, nb, d]), n, nb, d)`` of
   ``bench/workloads.py`` for each (n, nb, d) in ``LARGE_CHAINS``.
+
+A call that refuses its input is compared by the class and text of the
+error it raises.
 
 ``models/`` and ``bench/workloads.py`` are read from the repository this
 file sits in, and nothing is written. The tool prints each report key whose
@@ -39,6 +44,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_WORKLOADS = ("lattice", "pairs")
 LARGE_CHAINS = ((1000, 4, 3), (2000, 4, 3), (300, 2, 40), (600, 3, 20))  # n, blocks, out-degree
+SFS_ORDERS = (2, 3, 4)
 
 
 def _workloads():
@@ -50,15 +56,24 @@ def _workloads():
     return module
 
 
-def _loss_bound(chain, lumping) -> str:
-    """``repr`` of the loss bound, or the refusal it raises."""
-    import lumpchain as lc
+def _repr(call, *args) -> str:
+    """``repr`` of ``call(*args)``, or the refusal it raises."""
     from lumpchain.errors import LumpchainError
 
     try:
-        return repr(lc.entropy_loss_bound(chain, lumping))
+        return repr(call(*args))
     except LumpchainError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def _structure(key: str, chain, lumping) -> dict[str, str]:
+    """The loss bound and the SFS verdicts of one chain, by report key."""
+    import lumpchain as lc
+
+    reports = {f"{key}/loss_bound": _repr(lc.entropy_loss_bound, chain, lumping)}
+    for k in SFS_ORDERS:
+        reports[f"{key}/sfs_k{k}"] = _repr(lc.check_sfs, chain, lumping, k)
+    return reports
 
 
 def collect(seeds: list[int]) -> dict[str, str]:
@@ -85,14 +100,13 @@ def collect(seeds: list[int]) -> dict[str, str]:
                                            weak_horizon=p["weak_horizon"])
                 reports[f"{key}/report"] = lc.format_report(
                     lc.run_analysis(chain, lumping, config), "json")
-                reports[f"{key}/loss_bound"] = _loss_bound(chain, lumping)
+                reports.update(_structure(key, chain, lumping))
     for n, nb, d in LARGE_CHAINS:
         matrix, blocks = workloads.sparse_chain(np.random.default_rng([7, n, nb, d]), n, nb, d)
         item = workloads.Item(key=f"large/n{n}-b{nb}-d{d}", kind="analysis",
                               matrix=matrix, blocks=blocks)
         chain = lc.build_chain(item.matrix, item.states)
-        reports[f"{item.key}/loss_bound"] = _loss_bound(
-            chain, lc.build_lumping(chain, item.assignment))
+        reports.update(_structure(item.key, chain, lc.build_lumping(chain, item.assignment)))
     return reports
 
 

@@ -156,23 +156,33 @@ def build_chain(matrix, states: Sequence[str] | None = None,
     if bad.size:
         i = int(bad[0])
         raise NonStochasticRow(f"row {states[i]!r} sums to {sums[i]!r}")
-    if zero_threshold > 0:
+    # as int64 the entries keep their order and -0.0 sorts below +0.0, so the
+    # counts differ iff an entry lies in (0, zero_threshold] or is a -0.0
+    bits = P.view(np.int64)
+    if zero_threshold > 0 and (np.count_nonzero(bits) > np.count_nonzero(
+            bits > np.float64(zero_threshold).view(np.int64))):
         P[P <= zero_threshold] = 0.0
-    P /= P.sum(axis=1, keepdims=True)
+        sums = P.sum(axis=1)
+    P /= sums[:, None]
     return MarkovChain(states, P)
 
 
 def _solve_stationary(P: np.ndarray) -> np.ndarray:
     """Solve mu P = mu, sum(mu) = 1 directly (one balance equation replaced
     by the normalisation), clip at 0 and renormalise; a singular system
-    raises NoConvergence. ``MarkovChain.stationary`` checks the residual."""
+    raises NoConvergence. ``MarkovChain.stationary`` checks the residual.
+
+    The system is ``(P - I).T`` with its last row set to ones: built as
+    ``P - I`` with its last column set to ones and solved through its
+    transpose, a view already in the column-major layout LAPACK reads."""
     n = P.shape[0]
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
+    A = P.copy()
+    A.flat[::n + 1] -= 1.0
+    A[:, -1] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
     try:
-        mu = np.clip(np.linalg.solve(A, b), 0.0, None)
+        mu = np.clip(np.linalg.solve(A.T, b), 0.0, None)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"stationary solve failed: {exc}") from None
     return mu / mu.sum()
@@ -201,7 +211,9 @@ def _connectivity(adj: np.ndarray) -> ConnectivityReport:
     """
     level = _levels(adj)
     irreducible = bool((level >= 0).all() and (_levels(adj.T) >= 0).all())
-    u, v = np.nonzero(adj & (level >= 0)[:, None])
+    # the edges in row-major order, those from unreached states left out
+    u, v = np.divmod(np.flatnonzero(adj if irreducible else adj & (level >= 0)[:, None]),
+                     len(adj))
     period = int(np.gcd.reduce(level[u] + 1 - level[v]))
     return ConnectivityReport(irreducible=irreducible,
                               aperiodic=period == 1,

@@ -178,9 +178,9 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
         blackwell = ent.blackwell_entropy_estimate(
             chain, lumping, config.blackwell_steps,
             config.blackwell_burn_in, config.blackwell_seed)
-    kappa, depth = lp._pair_levels(chain, lumping)  # one pair search for the index and the bound
+    kappa, *levels = lp._pair_levels(chain, lumping)  # one pair search for the index and the bound
     try:
-        loss_bound = lp._loss_bound(chain, lumping, kappa, depth)
+        loss_bound = lp._loss_bound(chain, lumping, kappa, *levels)
     except HorizonTooLarge:  # too many minimal block words to score; the index stands
         loss_bound = None
     se = lp.check_single_entry(chain, lumping)

@@ -19,9 +19,11 @@ chunks C it reaches and Python work in proportion to the chunks. The index
 and the loss bound read the levels of the pairs on minimal pair paths, one
 ``(n x n)`` small-int matrix from a forward search and a backward sweep:
 O(depth * n^2 * (b + sqrt(n))) time at worst for a largest block of b states,
-the depth at most ``pair_depth_cap``. A greedy walk over it gives the index's
-witness, a search over block words the loss bound's minimal words and the
-states K_i ⊆ B_i their pair paths visit. Each word's windows are scored at
+the depth at most ``pair_depth_cap``. When no two states of one block share a
+successor, no split can merge again: the index is infinite after one product
+per chunk, and no search runs. A greedy walk over the levels gives the
+index's witness, a search over block words the loss bound's minimal words and
+the states K_i ⊆ B_i their pair paths visit. Each word's windows are scored at
 once with one chain of semiring products over those states, O(words * rows *
 sum |K_i| |K_{i+1}|) for ``rows`` check states per word; only the windows
 scoring near the best have paths listed. The minimal words can be
@@ -332,31 +334,35 @@ def _chunk_spans(lumping: Lumping) -> list[tuple[int, int]]:
 def _chunk_layout(chain: MarkovChain, lumping: Lumping):
     """The block-diagonal layout of the pair kernels: ``order`` renumbers the
     states block by block, so each chunk of ``_chunk_spans`` is a diagonal
-    square; the float32 adjacency in that order; and a small-int ``mask``,
-    nonzero on the cells of a square that join two blocks."""
+    square; the float32 adjacency in that order; and a boolean ``apart``,
+    true on the cells of a square that join two blocks."""
     spans, order = _chunk_spans(lumping), np.concatenate(lumping.member_indices)
     A = chain.adjacency[order][:, order].astype(np.float32)  # a sum is > 0 iff a term is
-    # signed and small, for less peak memory; only the chunks' squares are read
-    mask = np.zeros((chain.n, chain.n), np.min_scalar_type(-pair_depth_cap(lumping) - 1))
+    apart = np.zeros((chain.n, chain.n), dtype=bool)  # only the chunks' squares are read
     block = lumping.of_state[order]
     for s, e in spans:
         if block[s] != block[e - 1]:
-            mask[s:e, s:e][block[s:e, None] != block[None, s:e]] = np.iinfo(mask.dtype).max
-    return order, spans, A, mask
+            np.not_equal(block[s:e, None], block[None, s:e], out=apart[s:e, s:e])
+    return order, spans, A, apart
 
 
 def _pair_levels(chain: MarkovChain, lumping: Lumping):
-    """Split-merge index and the level of every pair on a minimal pair path.
+    """Split-merge index, the level of every pair on a minimal pair path and
+    the states of the first level's pairs.
 
     A pair (u, v) of distinct same-block states stands for two parallel state
     paths with one block word. Start pairs have a common predecessor, end
     pairs a common successor, and the index is the length of the shortest
-    pair path from a start to an end pair. A forward search labels each pair
+    pair path from a start to an end pair. Without an end pair no split can
+    merge again (the reversed chain is single entry), so the index is
+    infinite and no search runs. Otherwise a forward search labels each pair
     with its distance from the starts, one level of unvisited pairs per step,
     so within ``pair_depth_cap`` levels; a backward sweep from the end pairs
     then clears every pair that leads to none. So ``depth[u, v] = d > 0`` iff
     (u, v) is the d-th pair of a minimal pair path, and ``depth`` is
-    symmetric.
+    symmetric; ``first`` lists, in order, the states u with ``depth[u, v] =
+    1`` for some v. Returns ``(kappa, depth, first)``, or ``(math.inf, None,
+    None)``.
 
     Levels are held per chunk (``_chunk_layout``), and a step (``_pair_step``)
     costs 2 * rows * sum |C|^2 multiply-adds, ``rows`` being the states of the
@@ -365,10 +371,17 @@ def _pair_levels(chain: MarkovChain, lumping: Lumping):
     bytes each at most): about 2 * ``chain.transition.nbytes``, pinned on 300
     states.
     """
-    order, spans, A, depth = _chunk_layout(chain, lumping)
-    np.fill_diagonal(depth, np.iinfo(depth.dtype).max)  # a state and itself are no pair
-    level = _chunk_pairs(range(len(spans)), A, A, spans, depth, 0)  # one step from every (x, x)
+    order, spans, A, apart = _chunk_layout(chain, lumping)
+    # signed and small, for less peak memory; a pair's cell starts at 0
+    depth = np.zeros((chain.n, chain.n), np.min_scalar_type(-pair_depth_cap(lumping) - 1))
+    top = np.iinfo(depth.dtype).max
+    depth[apart] = top
+    del apart
+    np.fill_diagonal(depth, top)  # a state and itself are no pair
     ends = [A[s:e] @ A[s:e].T > 0 for s, e in spans]  # pairs with a common successor
+    if not any((E & (depth[s:e, s:e] == 0)).any() for E, (s, e) in zip(ends, spans)):
+        return math.inf, None, None  # no end pair: no split can merge again
+    level = _chunk_pairs(range(len(spans)), A, A, spans, depth, 0)  # one step from every (x, x)
     kappa = 1
     while level:
         keep = [(c, K) for c, F in level if (K := F & ends[c]).any()]
@@ -384,7 +397,7 @@ def _pair_levels(chain: MarkovChain, lumping: Lumping):
         level = _pair_step(A, level, spans, succ, depth, 0)
         kappa += 1
     else:
-        return math.inf, None
+        return math.inf, None, None
     # kept pairs get their level negated; each level looks only at predecessors
     for d in range(kappa, 0, -1):
         for c, K in keep:
@@ -394,9 +407,10 @@ def _pair_levels(chain: MarkovChain, lumping: Lumping):
             keep = _pair_step(A.T, keep, spans, pred, depth, d - 1)
     np.negative(depth, out=depth)
     np.maximum(depth, 0, out=depth)  # 0 for pairs off the minimal paths and for no pair
+    first = np.sort(np.concatenate([order[slice(*spans[c])][K.any(axis=1)] for c, K in keep]))
     at = np.argsort(order)
     depth = depth[at]  # back to the chain's state order, one axis at a time
-    return kappa, depth[:, at]
+    return kappa, depth[:, at], first
 
 
 def _smallest_path(adj: np.ndarray, allowed: list[np.ndarray]) -> list[int]:
@@ -414,7 +428,9 @@ def _smallest_path(adj: np.ndarray, allowed: list[np.ndarray]) -> list[int]:
 
 def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:
     """Shortest length of two distinct parallel state paths with shared
-    endpoints and block image; ``math.inf`` when no such pair exists.
+    endpoints and block image; ``math.inf`` when no such pair exists, which
+    is known without a pair search when no two states of one block share a
+    successor.
 
     The reported witness is the lexicographically smallest (by state index)
     among the minimal ones, with ``path_a < path_b``: a greedy walk over the
@@ -422,11 +438,11 @@ def split_merge_index(chain: MarkovChain, lumping: Lumping) -> SplitMergeResult:
     each step that some partner path can still follow, then for ``path_b``
     the smallest such partner path.
     """
-    kappa, depth = _pair_levels(chain, lumping)
+    kappa, depth, first = _pair_levels(chain, lumping)
     if not math.isfinite(kappa):
         return SplitMergeResult(kappa=math.inf, witness=None)
     adj = chain.adjacency
-    a, options, partners = [], np.arange(chain.n), np.ones(chain.n, dtype=bool)
+    a, options, partners = [], first, np.ones(chain.n, dtype=bool)
     for d in range(1, kappa + 1):
         u = int(options[np.argmax(((depth[options] == d) & partners).any(axis=1))])
         a.append(u)
@@ -484,7 +500,7 @@ def _sfs_tables(chain: MarkovChain, lumping: Lumping, levels: int):
         order, spans, A, mask = _chunk_layout(chain, lumping)
         at, every = np.argsort(order), [range(len(spans))] * len(spans)
         chunk = np.repeat(np.arange(len(spans)), [e - s for s, e in spans])[at]  # of each state
-        level, pairs = [(c, mask[s:e, s:e] == 0) for c, (s, e) in enumerate(spans)], [None]
+        level, pairs = [(c, ~mask[s:e, s:e]) for c, (s, e) in enumerate(spans)], [None]
         for _ in range(levels - 1):
             fork = A @ forks[-1][order] > 0
             for c, F in level:
@@ -492,7 +508,7 @@ def _sfs_tables(chain: MarkovChain, lumping: Lumping, levels: int):
                 np.fill_diagonal(apart, False)  # AC @ apart: successors y != y' paired with y'
                 fork |= (AC @ apart * AC).any(axis=1)
             forks.append(fork[at])
-            level = _pair_step(A.T, level, spans, every, mask, 0)
+            level = _pair_step(A.T, level, spans, every, mask, False)
             pairs.append(dict(level))
 
     def row(r, y):
@@ -711,10 +727,11 @@ def _window_paths(chain: MarkovChain, check: int, on: list[np.ndarray], hat: int
     return [(path[1:], prob * P[path[-1], hat]) for path, prob in paths if adj[path[-1], hat]]
 
 
-def _minimal_words(chain: MarkovChain, lumping: Lumping, kappa: int, depth: np.ndarray):
+def _minimal_words(chain: MarkovChain, lumping: Lumping, kappa: int, depth: np.ndarray,
+                   first: np.ndarray):
     """Block words of the minimal pair paths with their kept states, as
     ``(word, on)``: ``on[i]`` holds the states of the level-(i+1) pairs
-    reachable along the word.
+    reachable along the word, ``first`` those of every level-1 pair.
 
     A stack search extends a word one block at a time, carrying the level's
     kept pairs reachable along it. At the minimal index two middle paths of
@@ -733,7 +750,7 @@ def _minimal_words(chain: MarkovChain, lumping: Lumping, kappa: int, depth: np.n
                                       f"the loss bound's {_WINDOW_STEP_BUDGET} word steps")
             continue
         d = len(word) + 1
-        reach = np.flatnonzero(adj[on[-1]].any(axis=0) if word else (depth == 1).any(axis=1))
+        reach = np.flatnonzero(adj[on[-1]].any(axis=0)) if word else first
         for b in sorted(set(of_state[reach].tolist())):
             y = reach[of_state[reach] == b]
             step = depth[y[:, None], y] == d
@@ -802,13 +819,13 @@ def entropy_loss_bound(chain: MarkovChain, lumping: Lumping) -> LossBound | None
     return _loss_bound(chain, lumping, *_pair_levels(chain, lumping))
 
 
-def _loss_bound(chain: MarkovChain, lumping: Lumping, kappa, depth) -> LossBound | None:
+def _loss_bound(chain: MarkovChain, lumping: Lumping, kappa, depth, first) -> LossBound | None:
     """``entropy_loss_bound`` from the pair levels."""
     if not math.isfinite(kappa):
         return None
     P, mu, adj = chain.transition, chain.stationary, chain.adjacency
     scored = []  # (word, kept states, checks, hats, score, rounding bound) per word
-    for word, on in _minimal_words(chain, lumping, kappa, depth):
+    for word, on in _minimal_words(chain, lumping, kappa, depth, first):
         checks = np.flatnonzero(adj[:, on[0]].sum(axis=1) >= 2)
         hats = np.flatnonzero(adj[on[-1]].sum(axis=0) >= 2)
         states = [checks, *on, hats]

@@ -534,6 +534,31 @@ def loss_bound_by_enumeration(chain, lumping, scores=None):
     return None if best is None else best[1]
 
 
+def transition_v1(matrix, zero_threshold=1e-15):
+    """Frozen copy of the library's original ``build_chain`` arithmetic on a
+    valid matrix: every entry at or below a positive ``zero_threshold`` set to
+    0.0, then each row divided by its sum. The refusals of invalid input are
+    left out; tests pin them on their own."""
+    P = np.array(np.asarray(matrix), dtype=float)
+    if zero_threshold > 0:
+        P[P <= zero_threshold] = 0.0
+    P /= P.sum(axis=1, keepdims=True)
+    return P
+
+
+def stationary_v1(P):
+    """Frozen copy of the library's original ``_solve_stationary``: the system
+    ``P.T - I`` with its last row set to ones, in row-major layout, solved by
+    ``np.linalg.solve``, clipped at 0 and renormalised."""
+    n = P.shape[0]
+    A = P.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    mu = np.clip(np.linalg.solve(A, b), 0.0, None)
+    return mu / mu.sum()
+
+
 def connectivity_by_bfs(chain):
     """Connectivity report by Python set breadth-first searches.
 

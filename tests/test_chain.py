@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import MODELS_DIR, load_model, raw_blocks
+from conftest import MODELS_DIR, bench_workloads, load_model, raw_blocks
 from lumpchain import (
     build_chain,
     parse_model,
     reverse_chain,
 )
 from lumpchain import chain as chain_module
+from lumpchain.chain import ConnectivityReport
 from lumpchain.errors import (
     DimensionMismatch,
     NegativeEntry,
@@ -239,3 +240,70 @@ def test_stationary_residual_on_corpus(corpus_case):
     assert np.max(np.abs(mu @ chain.transition - mu)) <= 1e-10
     assert mu.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(mu > 0)
+
+
+# ---------------------------------------------------------------------------
+# set-up keeps the bits of the original build, solve and connectivity
+
+
+def dusty(dust):
+    """A seeded sparse chain with ``dust`` written over a few of its edges
+    and the rows renormalised."""
+    rng = np.random.default_rng(15)
+    matrix = np.array(oracles.random_sparse_chain(rng, int(rng.integers(5, 30)), 2)[0])
+    rows, cols = np.nonzero(matrix)
+    at = rng.choice(len(rows), size=min(len(rows), 4), replace=False)
+    matrix[rows[at], cols[at]] = dust
+    return matrix / matrix.sum(axis=1, keepdims=True)
+
+
+def setup_cases():
+    """(key, matrix, zero_threshold) for the set-up bit checks."""
+    default = chain_module.DEFAULT_ZERO_THRESHOLD
+    for path in sorted(MODELS_DIR.glob("*.json")):
+        yield path.stem, raw_blocks(path.stem)[0], default
+    for seed in range(15):
+        rng = np.random.default_rng(seed)
+        matrix, _ = oracles.random_sparse_chain(rng, int(rng.integers(5, 60)), 2)
+        yield f"sparse-{seed}", matrix, default
+    for seed in range(15):
+        rng = np.random.default_rng(seed)
+        yield f"nearly-decomposable-{seed}", nearly_decomposable(rng, 1e-6), 0.0
+    workloads = bench_workloads()
+    for seed in (0, 11):
+        for item in workloads.make_items("pairs", seed, MODELS_DIR.parent):
+            yield f"pairs-{seed}-{item.key}", item.matrix, default
+    yield "period-2", [[0, 0, .5, .5], [0, 0, 1, 0], [.3, .7, 0, 0], [1, 0, 0, 0]], default
+    yield "reducible", [[1, 0, 0], [.5, 0, .5], [0, .5, .5]], default
+    # 0 and 1 a 2-cycle; the edges of 2, which 0 does not reach, have no level
+    yield "reducible-periodic", [[0, 1, 0], [1, 0, 0], [.5, 0, .5]], default
+    yield "negative-zeros", [[0.5, -0.0, 0.5], [-0.0, 0.0, 1.0], [1.0, -0.0, 0.0]], default
+    for dust in (5e-324, 1e-300, 1e-16, 1e-15, 1.0000000000000002e-15):
+        for threshold in (default, 0.0):
+            yield f"dust-{dust!r}-threshold-{threshold!r}", dusty(dust), threshold
+
+
+SETUP_CASES = list(setup_cases())
+
+
+@pytest.mark.parametrize("matrix, zero_threshold", [case[1:] for case in SETUP_CASES],
+                         ids=[case[0] for case in SETUP_CASES])
+def test_setup_keeps_the_bits_of_the_original(matrix, zero_threshold):
+    chain = build_chain(matrix, zero_threshold=zero_threshold)
+    transition = oracles.transition_v1(matrix, zero_threshold)
+    assert chain.transition.tobytes() == transition.tobytes()
+    assert chain.connectivity == oracles.connectivity_by_bfs(chain)
+    if chain.connectivity.irreducible:
+        assert chain.stationary.tobytes() == oracles.stationary_v1(transition).tobytes()
+
+
+def test_setup_cases_cover_clamping_and_both_graph_kinds():
+    chains = {key: build_chain(m, zero_threshold=t) for key, m, t in SETUP_CASES}
+    assert len(chains) == 10 + 30 + 12 + 4 + 10
+    assert not chains["reducible"].connectivity.irreducible
+    assert chains["period-2"].connectivity.period == 2
+    assert chains["reducible-periodic"].connectivity == ConnectivityReport(False, False, 2)
+    clamped = [key for key, m, _ in SETUP_CASES
+               if np.count_nonzero(chains[key].transition) < np.count_nonzero(m)]
+    assert len(clamped) >= 3
+    assert all(key.startswith("dust-") and key.endswith("threshold-1e-15") for key in clamped)

@@ -12,6 +12,7 @@ window. Each pair must agree in ``repr()``: same witness, same floats; and
 the pair levels must be the positions of the pairs on those pair paths.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,12 +25,14 @@ from lumpchain import (
     build_chain,
     build_lumping,
     entropy_loss_bound,
+    pair_depth_cap,
     parse_model,
     split_merge_index,
 )
 from lumpchain import lumping as lumping_module
 from lumpchain.cli import AnalysisConfig, format_report, run_analysis
 from lumpchain.errors import HorizonTooLarge
+from lumpchain.lumping import SplitMergeResult
 from test_lower_pass import bench_case
 from test_lumping import (
     DEEP_WITNESS_SEEDS,
@@ -45,9 +48,10 @@ def assert_matches_oracle(chain, lumping):
     for ppath in ppaths:
         for d, (u, v) in enumerate(ppath, start=1):
             levels[u, v] = d
-    got_kappa, depth = lumping_module._pair_levels(chain, lumping)
-    assert got_kappa == kappa and (depth is None) == (not ppaths)
+    got_kappa, depth, first = lumping_module._pair_levels(chain, lumping)
+    assert got_kappa == kappa and (depth is None) == (first is None) == (not ppaths)
     assert depth is None or np.array_equal(depth, levels)
+    assert first is None or np.array_equal(first, np.flatnonzero((levels == 1).any(axis=1)))
     assert repr(split_merge_index(chain, lumping)) == repr(
         oracles.split_merge_by_enumeration(chain, lumping))
     got = entropy_loss_bound(chain, lumping)
@@ -240,22 +244,22 @@ def test_pair_search_peak_memory(instance):
 
 def test_loss_bound_peak_memory_on_a_large_sparse_chain():
     # the bound reads only the states the minimal pair paths visit: no copy
-    # of the (n x n) adjacency or pair levels beyond one boolean scan
+    # or scan of the (n x n) adjacency or pair levels
     n = 1000
     workloads = bench_workloads()
     matrix, blocks = workloads.sparse_chain(np.random.default_rng([7, n, 4, 3]), n, 4, 3)
     item = workloads.Item(key="", kind="analysis", matrix=matrix, blocks=blocks)
     chain = build_chain(item.matrix, item.states)
     lumping = build_lumping(chain, item.assignment)
-    kappa, depth = lumping_module._pair_levels(chain, lumping)
+    levels = lumping_module._pair_levels(chain, lumping)
     assert chain.stationary.any()  # cached before tracing, as in an analysis
     tracemalloc.start()
     try:
-        bound = lumping_module._loss_bound(chain, lumping, kappa, depth)
+        bound = lumping_module._loss_bound(chain, lumping, *levels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bound is not None and peak < 2 * n * n
+    assert bound is not None and peak < n * n / 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,3 +403,98 @@ def test_too_many_minimal_words_are_refused_before_scoring(monkeypatch):
         horizons=(1,), k_range=(1,), weak_horizon=1))
     assert (report.kappa, report.loss_bound) == (30, None)
     assert "entropy loss bound: refused" in format_report(report)
+
+
+# ---------------------------------------------------------------------------
+# no end pair: the pair search does not run
+
+
+def has_end_pair(chain, lumping):
+    """Some state has two distinct same-block predecessors: the reversed
+    chain is not single entry."""
+    return bool((lumping.indicator.T @ chain.adjacency > 1).any())
+
+
+def disjoint_successor_chain(rng, n_states, n_blocks):
+    """Chain of one to two successors a state, where the states of one block
+    have disjoint successor sets, so no split can merge again."""
+    blocks = np.arange(n_states) % n_blocks
+    rng.shuffle(blocks)
+    matrix = np.zeros((n_states, n_states))
+    for b in range(n_blocks):
+        members = np.flatnonzero(blocks == b)
+        deal = iter(rng.permutation(n_states).tolist())
+        for x in members:
+            degree = int(rng.integers(1, 3)) if len(members) * 2 <= n_states else 1
+            matrix[x, [next(deal) for _ in range(degree)]] = 1.0 / degree
+    return matrix, blocks.tolist()
+
+
+def small_instance(seed):
+    """Seeded chain of 3-6 states: disjoint successor sets per block on even
+    seeds, ``oracles.random_sparse_chain`` on odd ones."""
+    rng = np.random.default_rng([seed, 27])
+    n_states = int(rng.integers(3, 7))
+    n_blocks = int(rng.integers(max(1, n_states // 2), n_states))
+    if seed % 2 == 0:
+        matrix, blocks = disjoint_successor_chain(rng, n_states, n_blocks)
+    else:
+        matrix, blocks = oracles.random_sparse_chain(rng, n_states, n_blocks, int(rng.integers(2)))
+    chain = build_chain(matrix, [str(i) for i in range(n_states)])
+    return chain, build_lumping(chain, {str(i): f"b{b}" for i, b in enumerate(blocks)},
+                                allow_trivial=True), (matrix, blocks)
+
+
+def bench_private_items(seed):
+    workloads = bench_workloads()
+    for item in workloads.make_items("pairs", seed, MODELS_DIR.parent):
+        if item.family == "private":
+            chain = build_chain(item.matrix, item.states)
+            yield f"seed{seed}-{item.key}", chain, build_lumping(chain, item.assignment)
+
+
+def end_pair_free_cases():
+    yield ("tagged_branches", *parse_model(str(MODELS_DIR / "tagged_branches.json")))
+    for seed in (0, 11):
+        yield from bench_private_items(seed)
+    for seed in range(5):
+        yield (f"private-successors-{seed}", *private_successor_chain(12 + 12 * seed, 3, seed))
+    for seed in range(0, 40, 2):
+        yield (f"small-{seed}", *small_instance(seed)[:2])
+
+
+def test_no_pair_step_without_an_end_pair(monkeypatch):
+    def never(*args):
+        raise AssertionError("the pair search took a step")
+
+    monkeypatch.setattr(lumping_module, "_pair_step", never)
+    cases = list(end_pair_free_cases())
+    assert len(cases) == 1 + 4 + 5 + 20
+    for key, chain, lumping in cases:
+        assert not has_end_pair(chain, lumping), key
+        assert lumping_module._pair_levels(chain, lumping) == (math.inf, None, None), key
+        assert split_merge_index(chain, lumping) == SplitMergeResult(math.inf, None), key
+        assert entropy_loss_bound(chain, lumping) is None, key
+
+
+def test_index_matches_path_pair_enumeration_with_and_without_the_exit():
+    exits = 0
+    for seed in range(240):
+        chain, lumping, (matrix, blocks) = small_instance(seed)
+        expected = oracles.kappa_by_path_pairs(matrix, blocks, pair_depth_cap(lumping))
+        kappa = split_merge_index(chain, lumping).kappa
+        assert (None if math.isinf(kappa) else kappa) == expected, seed
+        exits += not has_end_pair(chain, lumping)
+    assert 100 <= exits <= 200  # both sides of the exit are exercised
+
+
+def test_pair_search_still_steps_with_start_and_end_pairs(monkeypatch):
+    # lossless_sticky has both start and end pairs, but no pair path joins them
+    chain, lumping = parse_model(str(MODELS_DIR / "lossless_sticky.json"))
+    steps = []
+    pair_step = lumping_module._pair_step
+    monkeypatch.setattr(lumping_module, "_pair_step",
+                        lambda *args: steps.append(args) or pair_step(*args))
+    assert has_end_pair(chain, lumping)
+    assert split_merge_index(chain, lumping).kappa == math.inf
+    assert steps

@@ -220,3 +220,16 @@ def test_sfs_peak_memory_on_a_sparse_chain():
     finally:
         tracemalloc.stop()
     assert peak < 2 * chain.transition.nbytes
+
+
+def test_sfs_peak_memory_at_1000_states():
+    # the level type of the pair search is int32 here; the SFS mask is one byte a cell
+    chain, lumping = sparse_instance(1000, 4, 3)
+    assert chain.adjacency.any()  # cached before tracing, as in an analysis
+    tracemalloc.start()
+    try:
+        check_sfs(chain, lumping, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * chain.transition.nbytes

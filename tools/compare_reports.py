@@ -17,7 +17,11 @@ interpreter of its own, which computes:
 - ``repr(entropy_loss_bound(...))`` and ``repr(check_sfs(..., k))`` for
   k = 2, 3, 4 on four large sparse chains,
   ``sparse_chain(np.random.default_rng([7, n, nb, d]), n, nb, d)`` of
-  ``bench/workloads.py`` for each (n, nb, d) in ``LARGE_CHAINS``.
+  ``bench/workloads.py`` for each (n, nb, d) in ``LARGE_CHAINS``;
+- ``repr(split_merge_index(...))`` and ``repr(entropy_loss_bound(...))`` on
+  ``private_successor_chain(np.random.default_rng([7, 600, 4]), 600, 4)``,
+  where no two same-block states share a successor, so the index is
+  infinite without a pair search.
 
 A call that refuses its input is compared by the class and text of the
 error it raises.
@@ -107,6 +111,13 @@ def collect(seeds: list[int]) -> dict[str, str]:
                               matrix=matrix, blocks=blocks)
         chain = lc.build_chain(item.matrix, item.states)
         reports.update(_structure(item.key, chain, lc.build_lumping(chain, item.assignment)))
+    matrix, blocks = workloads.private_successor_chain(np.random.default_rng([7, 600, 4]), 600, 4)
+    item = workloads.Item(key="large/private-n600-b4", kind="analysis",
+                          matrix=matrix, blocks=blocks)
+    chain = lc.build_chain(item.matrix, item.states)
+    lumping = lc.build_lumping(chain, item.assignment)
+    reports[f"{item.key}/split_merge"] = _repr(lc.split_merge_index, chain, lumping)
+    reports[f"{item.key}/loss_bound"] = _repr(lc.entropy_loss_bound, chain, lumping)
     return reports
 
 

@@ -166,13 +166,14 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
             raise ValidationError("a Blackwell seed or burn-in needs blackwell_steps")
     elif config.blackwell_seed is None:
         raise ValidationError("blackwell_steps needs a blackwell_seed")
-    # orders and horizons below 1, refused before any work; the first two as the callees would
+    # orders and horizons below 1 and a bad tol, refused before any work as the callees would
     if min(config.k_range, default=1) < 1:
         raise KTooSmall("strong lumpability order must be >= 1")
     if min(config.horizons, default=1) < 1:
         raise ValidationError("n must be >= 1")
     if config.weak_horizon < 1:
         raise ValidationError("weak horizon must be >= 1")
+    lp._check_tol(config.tol)
     blackwell = None
     if config.blackwell_steps is not None:  # first: its arguments can refuse it at once
         blackwell = ent.blackwell_entropy_estimate(

@@ -35,7 +35,10 @@ diagonal included, with one fork product per chunk a level, and a greedy
 walk rebuilds the first violating state sequence: O(k * n * sum |C|^2) time,
 and no verdict enumerates state paths. The single-entry check is one
 ``(n x blocks)`` count product. The weak and strong checks read the tables
-and per-level entropies of one block-word lattice (``entropy.lattice``).
+and per-level entropies of one block-word lattice (``entropy.lattice``) and
+ask it one question through one comparison (``_conditionals_apart``): does
+conditioning on more than a coarse context (the word's last k blocks for
+weak, the start block for strong) move the next-block law by more than tol?
 """
 
 from __future__ import annotations
@@ -120,15 +123,9 @@ def build_lumping(chain: MarkovChain, assignment: Mapping[str, str],
     extra = [s for s in assignment if s not in chain._index]
     if extra:
         raise UnknownState(f"lumping names unknown states: {extra}")
-    blocks: list[str] = []
-    seen: dict[str, int] = {}
-    of_state = np.empty(chain.n, dtype=int)
-    for i, s in enumerate(chain.states):
-        b = str(assignment[s])
-        if b not in seen:
-            seen[b] = len(blocks)
-            blocks.append(b)
-        of_state[i] = seen[b]
+    seen: dict[str, int] = {}  # block labels in order of first appearance
+    of_state = np.array([seen.setdefault(str(assignment[s]), len(seen)) for s in chain.states])
+    blocks = list(seen)
     if not allow_trivial and not (2 <= len(blocks) < chain.n):
         raise TrivialLumping(
             f"{len(blocks)} blocks over {chain.n} states; "
@@ -609,17 +606,32 @@ def check_sfs(chain: MarkovChain, lumping: Lumping, k: int) -> SfsResult:
 # higher-order lumpability
 
 
-def _lookup(ids: np.ndarray, rows: np.ndarray, keys: np.ndarray):
-    """The rows of a level whose ids are ``keys``, and whether each is
-    present: a key the mass rule dropped gets a neighbour's row and False."""
-    at = np.searchsorted(ids, keys)
-    np.minimum(at, len(ids) - 1, out=at)
-    return rows[at], ids[at] == keys
-
-
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+
+
+def _conditionals_apart(joint: np.ndarray, coarse, coarse_ids: np.ndarray, tol: float):
+    """Next-block conditionals of a level's rows and of the rows of the coarse
+    level ``(ids, joint)`` with ids ``coarse_ids``, one per row, and the cells
+    more than ``tol`` apart. A coarse context is at least as heavy as those it
+    coarsens, so only rounding drops it; its rows get no such cell."""
+    ids, rows = coarse
+    at = np.searchsorted(ids, coarse_ids)
+    np.minimum(at, len(ids) - 1, out=at)
+    cond, coarse_cond = (j / j.sum(axis=1, keepdims=True) for j in (joint, rows[at]))
+    live = ids[at] == coarse_ids
+    return cond, coarse_cond, (np.abs(cond - coarse_cond) > tol) & live[:, None]
+
+
+def _counterexample(lumping: Lumping, head: tuple[str, ...], word: int, length: int,
+                    symbol: int, prob_a: float, prob_b: float) -> LumpabilityCounterexample:
+    """The context ``head`` then the ``length`` blocks of word id ``word``,
+    where next block ``symbol`` has conditional ``prob_a``, ``prob_b`` coarsely."""
+    blocks = np.unravel_index(word, (lumping.n_blocks,) * length)
+    return LumpabilityCounterexample(
+        conditioning=head + tuple(lumping.blocks[b] for b in blocks),
+        symbol=lumping.blocks[symbol], prob_a=float(prob_a), prob_b=float(prob_b))
 
 
 def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
@@ -628,12 +640,12 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
 
     For every start state, block word of length k-1 and next block, all with
     positive joint mass, the next-block conditional given the exact start
-    state must equal the conditional given only the start block. Both come
-    from one lattice: the first from its lower table at horizon k, the
-    second from its upper one, the k-word of the start block and the word.
-    The witness is the first violation by (word, start block, start state,
-    next block). The verdict also reports the horizon-k rate bounds, which
-    agree to rounding when the check passes.
+    state must equal the one given only the start block, its coarse context:
+    the lower table at horizon k against the upper one of one lattice, in one
+    comparison (``_conditionals_apart``). The witness is the first violation
+    by (word, start block, start state, next block). The verdict also
+    reports the horizon-k rate bounds, which agree to rounding when the
+    check passes.
     """
     if k < 1:
         raise KTooSmall("strong lumpability order must be >= 1")
@@ -641,27 +653,18 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
     nb = lumping.n_blocks
     with lattice(chain, lumping, k, k) as lat:
         ids, joint = lat.lower(k)
-        block_ids, block_joint = lat.upper(k)
+        start, word = np.divmod(ids, nb ** (k - 1))
+        block = lumping.of_state[start]
+        cond, block_cond, apart = _conditionals_apart(
+            joint, lat.upper(k), block * nb ** (k - 1) + word, tol)
         bounds = lumped_rate_bounds(chain, lumping, k)
-    start, word = np.divmod(ids, nb ** (k - 1))
-    block = lumping.of_state[start]
-    block_cond, present = _lookup(
-        block_ids, block_joint / block_joint.sum(axis=1, keepdims=True),
-        block * nb ** (k - 1) + word)
-    cond = joint / joint.sum(axis=1, keepdims=True)
-    # a start block's word is at least as heavy as the word from one state in it
-    bad_row, bad_y = np.nonzero((cond > 0.0) & (np.abs(cond - block_cond) > tol)
-                                & present[:, None])
+    bad_row, bad_y = np.nonzero(apart & (cond > 0.0))
     witness = None
     if bad_row.size:
         first = np.lexsort((bad_y, start[bad_row], block[bad_row], word[bad_row]))[0]
         r, y = bad_row[first], bad_y[first]
-        witness = LumpabilityCounterexample(
-            conditioning=(chain.states[start[r]],) + tuple(
-                lumping.blocks[b] for b in np.unravel_index(word[r], (nb,) * (k - 1))),
-            symbol=lumping.blocks[y],
-            prob_a=float(cond[r, y]),
-            prob_b=float(block_cond[r, y]))
+        witness = _counterexample(lumping, (chain.states[start[r]],), word[r], k - 1, y,
+                                  cond[r, y], block_cond[r, y])
     return LumpabilityVerdict(order_k=k,
                               strong=witness is None,
                               witness=witness,
@@ -675,8 +678,9 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
     all conditioning lengths up to ``horizon``.
 
     The verdict is horizon-qualified; nothing is claimed beyond it. The
-    witness is the first violation by (length, word, next block). The
-    returned conditional entropies H(next block | previous m blocks) for
+    witness is the first (length, word, next block) whose conditional departs
+    from the one given the word's last k blocks (``_conditionals_apart``).
+    The returned conditional entropies H(next block | previous m blocks) for
     m = 1..horizon flatten from m = k onward exactly when the process is
     order-k Markov up to the horizon.
     """
@@ -686,26 +690,17 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
         raise ValidationError("horizon must be >= k")
     _check_tol(tol)
     nb = lumping.n_blocks
-    with lattice(chain, lumping, horizon, 0) as lat:
-        tables = [lat.upper(length) for length in range(1, horizon + 1)]
-        entropies = tuple(lat.upper_entropy(length) for length in range(1, horizon + 1))
-    ref_ids, ref = tables[k - 1]
-    ref = ref / ref.sum(axis=1, keepdims=True)
     witness = None
-    for length, (ids, joint) in enumerate(tables[k:], start=k + 1):
-        cond = joint / joint.sum(axis=1, keepdims=True)
-        short, present = _lookup(ref_ids, ref, ids % nb ** k)
-        # a suffix is at least as heavy as its word; skip one dropped by rounding
-        bad = (np.abs(cond - short) > tol) & present[:, None]
-        if bad.any():
-            r, y = divmod(int(np.argmax(bad)), nb)  # first in (word, symbol) order
-            witness = LumpabilityCounterexample(
-                conditioning=tuple(lumping.blocks[b]
-                                   for b in np.unravel_index(ids[r], (nb,) * length)),
-                symbol=lumping.blocks[y],
-                prob_a=float(cond[r, y]),
-                prob_b=float(short[r, y]))
-            break
+    with lattice(chain, lumping, horizon, 0) as lat:
+        entropies = tuple(lat.upper_entropy(length) for length in range(1, horizon + 1))
+        for length in range(k + 1, horizon + 1):
+            ids, joint = lat.upper(length)
+            cond, short, apart = _conditionals_apart(joint, lat.upper(k), ids % nb ** k, tol)
+            if apart.any():
+                r, y = divmod(int(np.argmax(apart)), nb)  # first in (word, symbol) order
+                witness = _counterexample(lumping, (), ids[r], length, y,
+                                          cond[r, y], short[r, y])
+                break
     return LumpabilityVerdict(
         order_k=k,
         weak_up_to_horizon=WeakHorizonVerdict(verdict=witness is None, horizon=horizon),

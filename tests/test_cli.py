@@ -330,11 +330,14 @@ BAD_ORDER_OR_HORIZON = [
     (dict(weak_horizon=0), ["--weak-horizon", "0"], ValidationError, "weak horizon must be >= 1"),
     (dict(weak_horizon=-3), ["--weak-horizon", "-3"], ValidationError,
      "weak horizon must be >= 1"),
+    (dict(tol=math.nan), ["--tol", "nan"], ValidationError, "tol must be finite and >= 0, got nan"),
+    (dict(tol=-1.0), ["--tol", "-1"], ValidationError, "tol must be finite and >= 0, got -1.0"),
 ]
 
 
 @pytest.mark.parametrize("fields, flags, error, message", BAD_ORDER_OR_HORIZON,
-                         ids=["horizon", "order", "weak-horizon-0", "weak-horizon-negative"])
+                         ids=["horizon", "order", "weak-horizon-0", "weak-horizon-negative",
+                              "tol-nan", "tol-negative"])
 def test_run_analysis_refuses_a_bad_order_or_horizon_before_any_work(
         monkeypatch, capsys, fields, flags, error, message):
     # the refusal depends on the arguments alone, so neither the estimate nor

@@ -12,16 +12,19 @@ interpreter of its own, which computes:
   exit code, stdout and stderr;
 - for every ``lattice`` and ``pairs`` item of ``bench/workloads.py`` at each
   seed: ``format_report(run_analysis(...), "json")`` with the benchmark's
-  configuration, ``repr(entropy_loss_bound(...))`` and
-  ``repr(check_sfs(..., k))`` for k = 2, 3, 4;
-- ``repr(entropy_loss_bound(...))`` and ``repr(check_sfs(..., k))`` for
-  k = 2, 3, 4 on four large sparse chains,
+  configuration;
+- the structure of every model file, every such item and five large
+  chains: ``repr(split_merge_index(...))``, ``repr(entropy_loss_bound(...))``
+  and ``repr(check_sfs(..., k))`` for k = 2, 3, 4. The large chains are
   ``sparse_chain(np.random.default_rng([7, n, nb, d]), n, nb, d)`` of
-  ``bench/workloads.py`` for each (n, nb, d) in ``LARGE_CHAINS``;
-- ``repr(split_merge_index(...))`` and ``repr(entropy_loss_bound(...))`` on
+  ``bench/workloads.py`` for each (n, nb, d) in ``LARGE_CHAINS``, and
   ``private_successor_chain(np.random.default_rng([7, 600, 4]), 600, 4)``,
   where no two same-block states share a successor, so the index is
-  infinite without a pair search.
+  infinite without a pair search;
+- on every model file and every such item, ``repr(check_strong_lumpable(...,
+  k))`` and ``repr(check_weak_lumpable(..., k, max(h, k)))`` for k = 1, 2, 3,
+  h being the item's weak horizon, or ``analyze``'s default 6 for a model
+  file; these carry the witnesses that the reports reduce to verdicts.
 
 A call that refuses its input is compared by the class and text of the
 error it raises.
@@ -49,6 +52,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_WORKLOADS = ("lattice", "pairs")
 LARGE_CHAINS = ((1000, 4, 3), (2000, 4, 3), (300, 2, 40), (600, 3, 20))  # n, blocks, out-degree
 SFS_ORDERS = (2, 3, 4)
+LUMPABILITY_ORDERS = (1, 2, 3)
+MODEL_WEAK_HORIZON = 6  # analyze's default
 
 
 def _workloads():
@@ -71,12 +76,25 @@ def _repr(call, *args) -> str:
 
 
 def _structure(key: str, chain, lumping) -> dict[str, str]:
-    """The loss bound and the SFS verdicts of one chain, by report key."""
+    """The index, the loss bound and the SFS verdicts of one chain, by report key."""
     import lumpchain as lc
 
-    reports = {f"{key}/loss_bound": _repr(lc.entropy_loss_bound, chain, lumping)}
+    reports = {f"{key}/split_merge": _repr(lc.split_merge_index, chain, lumping),
+               f"{key}/loss_bound": _repr(lc.entropy_loss_bound, chain, lumping)}
     for k in SFS_ORDERS:
         reports[f"{key}/sfs_k{k}"] = _repr(lc.check_sfs, chain, lumping, k)
+    return reports
+
+
+def _lumpability(key: str, chain, lumping, weak_horizon: int) -> dict[str, str]:
+    """The strong and weak verdicts of one chain, witnesses included, by report key."""
+    import lumpchain as lc
+
+    reports = {}
+    for k in LUMPABILITY_ORDERS:
+        reports[f"{key}/strong_k{k}"] = _repr(lc.check_strong_lumpable, chain, lumping, k)
+        reports[f"{key}/weak_k{k}"] = _repr(lc.check_weak_lumpable, chain, lumping, k,
+                                            max(weak_horizon, k))
     return reports
 
 
@@ -92,6 +110,9 @@ def collect(seeds: list[int]) -> dict[str, str]:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = lc.cli.main(["analyze", str(path), "--format", "json"])
         reports[f"corpus/{path.stem}"] = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+        chain, lumping = lc.parse_model(str(path))
+        reports.update(_structure(f"corpus/{path.stem}", chain, lumping))
+        reports.update(_lumpability(f"corpus/{path.stem}", chain, lumping, MODEL_WEAK_HORIZON))
     workloads = _workloads()
     for seed in seeds:
         for workload in BENCH_WORKLOADS:
@@ -105,6 +126,7 @@ def collect(seeds: list[int]) -> dict[str, str]:
                 reports[f"{key}/report"] = lc.format_report(
                     lc.run_analysis(chain, lumping, config), "json")
                 reports.update(_structure(key, chain, lumping))
+                reports.update(_lumpability(key, chain, lumping, p["weak_horizon"]))
     for n, nb, d in LARGE_CHAINS:
         matrix, blocks = workloads.sparse_chain(np.random.default_rng([7, n, nb, d]), n, nb, d)
         item = workloads.Item(key=f"large/n{n}-b{nb}-d{d}", kind="analysis",
@@ -115,9 +137,7 @@ def collect(seeds: list[int]) -> dict[str, str]:
     item = workloads.Item(key="large/private-n600-b4", kind="analysis",
                           matrix=matrix, blocks=blocks)
     chain = lc.build_chain(item.matrix, item.states)
-    lumping = lc.build_lumping(chain, item.assignment)
-    reports[f"{item.key}/split_merge"] = _repr(lc.split_merge_index, chain, lumping)
-    reports[f"{item.key}/loss_bound"] = _repr(lc.entropy_loss_bound, chain, lumping)
+    reports.update(_structure(item.key, chain, lc.build_lumping(chain, item.assignment)))
     return reports
 
 

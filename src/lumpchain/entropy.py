@@ -132,20 +132,17 @@ def lumped_forward(chain: MarkovChain, lumping: "Lumping", rho: np.ndarray,
                    n_symbols: int, first_is_current: bool = True) -> WordTable:
     """Joint mass over the hidden state of every live length-``n_symbols`` word.
 
-    ``rho`` is the state mass at time 0, and every word starts with the
-    block of the time-0 state; that is the pass's only mode, so
-    ``first_is_current`` must be True. Words are dropped by the mass rule as
-    they are built.
+    ``rho`` is the state mass at time 0, a law such as the stationary one,
+    so the empty word is live. Every word starts with the block of the
+    time-0 state; that is the pass's only mode, so ``first_is_current`` must
+    be True. Longer words are dropped by the mass rule as they are built.
     """
     if not first_is_current:
         raise ValidationError("a block word starts with the block of the time-0 state")
     nb = lumping.n_blocks
     _check_id_width(1, nb, n_symbols)
-    P = chain.transition
-    B = lumping.indicator
-    mass = np.asarray(rho, dtype=float)[None, :]
-    live = mass.sum(axis=1) > MASS_EPS  # the empty word obeys the mass rule too
-    ids, pushed = np.zeros(1, dtype=np.int64)[live], mass[live]
+    P, B = chain.transition, lumping.indicator
+    ids, pushed = np.zeros(1, dtype=np.int64), np.asarray(rho, dtype=float)[None, :]
     levels = [(ids, pushed @ B)]
     for level in range(1, n_symbols + 1):
         words, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
@@ -172,38 +169,22 @@ def _conditional_entropy(joint: np.ndarray) -> float:
     return float(-np.vdot(joint, cond)) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
-def _prepend_blocks(table: np.ndarray, words: np.ndarray, slots: np.ndarray,
-                    heads: np.ndarray, indicator: np.ndarray, level: int, held: int):
-    """The backward table at ``level``, one deeper than ``table``: every
-    block b in front of every word that a state of B_b starts (a row of
-    ``table`` positive at some next block, gathered by the block
-    ``indicator``), rows ``table[:, B_b] @ P.T[B_b]`` under ids
-    ``b * nb**(level-1) + word``. ``held`` counts the cells kept so far."""
-    nb, n = len(heads), table.shape[1]
-    _check_cells("backward", level, nb * len(words), nb * n, held + table.size)
-    keep = (table.reshape(len(words), nb, n).any(axis=1) @ indicator > 0).T.ravel()
-    grown = np.matmul(table[:, slots].transpose(1, 0, 2), heads)  # front block x rows x states
-    grown = grown.reshape(nb * len(words), nb * n)
-    words = (np.arange(nb)[:, None] * nb ** (level - 1) + words).ravel()
-    if not keep.all():
-        kept = np.flatnonzero(keep)
-        grown, words = grown.take(kept, axis=0), words.take(kept)
-    return grown.reshape(-1, n), words
-
-
 def _lower_levels(chain: MarkovChain, lumping: "Lumping", depth: int):
     """Every level of the lower tables to ``depth`` blocks after the start
     state, in (start, word) order, by a backward pass.
 
     Since joint(x, w, c) = mu(x) * (P D_w1 P ... D_wm P 1_c)(x), level m keeps
-    one n-wide row per realisable m-word w and next block c, and level m+1
-    comes from it by :func:`_prepend_blocks`. Each level is read as soon as it
-    is built, for the (start, word) rows the mass rule keeps; only the
-    previous level's table stays alive.
+    one n-wide row per realisable m-word w and next block c. Level m+1 puts
+    every block b in front of every word that a state of B_b starts (a row
+    of level m positive at some next block, gathered by the block
+    indicator): rows ``table[:, B_b] @ P.T[B_b]`` under ids
+    ``b * nb**m + word``. Each level is read as soon as it is built, for the
+    (start, word) rows the mass rule keeps; only the previous level's table
+    stays alive.
     """
     n, nb, mu = chain.n, lumping.n_blocks, chain.stationary
     _check_id_width(n, nb, depth)
-    P = chain.transition
+    P, B = chain.transition, lumping.indicator
     # block b's states padded to the largest block; padding rows of P.T are 0
     width = max(len(idx) for idx in lumping.member_indices)
     slots = np.zeros((nb, width), dtype=np.intp)
@@ -211,14 +192,22 @@ def _lower_levels(chain: MarkovChain, lumping: "Lumping", depth: int):
     for b, idx in enumerate(lumping.member_indices):
         slots[b, :len(idx)] = idx
         heads[b, :len(idx)] = P.T[idx]
-    table = np.ascontiguousarray((P @ lumping.indicator).T)  # (word, next block) x state
+    table = np.ascontiguousarray((P @ B).T)  # (word, next block) x state
     words = np.zeros(1, dtype=np.int64)
     ids = np.flatnonzero(mu > MASS_EPS)  # the empty word obeys the mass rule too
     levels = []
     for m in range(depth + 1):
         if m:
             held = sum(i.size + j.size for i, j in levels)  # ids and next-block joints kept
-            table, words = _prepend_blocks(table, words, slots, heads, lumping.indicator, m, held)
+            _check_cells("backward", m, nb * len(words), nb * n, held + table.size)
+            keep = (table.reshape(len(words), nb, n).any(axis=1) @ B > 0).T.ravel()
+            table = np.matmul(table[:, slots].transpose(1, 0, 2), heads)  # (front, row, state)
+            table = table.reshape(nb * len(words), nb * n)
+            words = (np.arange(nb)[:, None] * nb ** (m - 1) + words).ravel()
+            if not keep.all():
+                kept = np.flatnonzero(keep)
+                table, words = table.take(kept, axis=0), words.take(kept)
+            table = table.reshape(-1, n)
             rows, blocks = np.nonzero(levels[-1][1] > MASS_EPS)  # row-major: lexicographic
             ids = levels[-1][0][rows] * nb + blocks
         start = ids // nb ** m

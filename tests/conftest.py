@@ -8,11 +8,13 @@ brute force via ``oracles``.
 
 import importlib.util
 import json
+import os
 import pathlib
 import sys
 
 import pytest
 
+import lumpchain
 from lumpchain import parse_model
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -40,6 +42,25 @@ TRAITS = {
 }
 
 CORPUS = tuple(TRAITS)
+
+
+def pytest_configure(config):
+    """Refuse a run that would test another tree than PYTHONPATH names.
+
+    pytest's ``pythonpath = ["src"]`` puts this checkout's library ahead of
+    PYTHONPATH, so a run meant for another tree's ``src`` would quietly test
+    this one. The first PYTHONPATH entry that holds a ``lumpchain`` package
+    must be the package the tests imported; later entries do not count.
+    """
+    imported = pathlib.Path(lumpchain.__file__).resolve().parent
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        named = pathlib.Path(entry).resolve() / "lumpchain"
+        if (named / "__init__.py").is_file():
+            if named != imported:
+                raise pytest.UsageError(
+                    f"PYTHONPATH names the lumpchain package at {named}, but the tests "
+                    f"imported {imported}; run them from that tree's own checkout")
+            return
 
 
 def model_path(name: str) -> str:

@@ -370,11 +370,13 @@ def blackwell_reference(transition, stationary, indicator, steps, burn_in, seed,
 
 def chain_entropy_rate_by_loop(chain):
     """The chain's entropy rate by the library's original per-state loop:
-    sum_x mu(x) H(P(x, .)), one row entropy at a time."""
-    from lumpchain.entropy import _plogp
+    sum_x mu(x) H(P(x, .)), one row entropy at a time. The row entropy is
+    this oracle's own copy, so a fault in the library's cannot hide here."""
+    def plogp(p):  # -sum p*log2(p) over the positive entries, as a float
+        return float(-(p[p > 0] * np.log2(p[p > 0])).sum()) + 0.0
 
     mu, P = chain.stationary, chain.transition
-    return float(sum(mu[x] * _plogp(P[x]) for x in range(chain.n)))
+    return float(sum(mu[x] * plogp(P[x]) for x in range(chain.n)))
 
 
 def minimal_pair_paths(chain, lumping):
@@ -388,15 +390,14 @@ def minimal_pair_paths(chain, lumping):
     come back ordered by their last pair, then by the pair before it, and so
     on. Returns ``(math.inf, [])`` when no start pair reaches an end pair.
     """
-    from lumpchain.lumping import pair_depth_cap
-
     adj = chain.adjacency
     A = adj.astype(np.float32)
     of_state = lumping.of_state
     pairs = (of_state[:, None] == of_state[None, :]) & ~np.eye(chain.n, dtype=bool)
     ends = pairs & (A @ A.T > 0)
     frontier = pairs & (A.T @ A > 0)
-    dist = np.zeros((chain.n, chain.n), dtype=np.min_scalar_type(pair_depth_cap(lumping)))
+    cap = int(pairs.sum())  # ordered same-block pairs: no finite depth exceeds it
+    dist = np.zeros((chain.n, chain.n), dtype=np.min_scalar_type(cap))
     kappa = 1
     while frontier.any():
         dist[frontier] = kappa
@@ -467,10 +468,13 @@ def loss_bound_by_enumeration(chain, lumping, scores=None):
     pair path of :func:`minimal_pair_paths`), same probabilities,
     same ``(-score, check, word, hat)`` choice. Returns a ``LossBound`` or
     None; a dict passed as ``scores`` receives every window's score, keyed by
-    ``(check, word, hat)``.
+    ``(check, word, hat)``. The window entropy is this oracle's own copy of
+    the library's expression.
     """
-    from lumpchain.entropy import _plogp
     from lumpchain.lumping import LossBound, SplitMergeWitness
+
+    def plogp(p):  # -sum p*log2(p) over the positive entries, as a float
+        return float(-(p[p > 0] * np.log2(p[p > 0])).sum()) + 0.0
 
     def _window_paths(chain, lumping, check, word, hat):
         adj = chain.adjacency
@@ -511,7 +515,7 @@ def loss_bound_by_enumeration(chain, lumping, scores=None):
         if len(paths) < 2:
             continue
         probs = np.array([p for _, p in paths])
-        loss = _plogp(probs / probs.sum())
+        loss = plogp(probs / probs.sum())
         order = sorted(range(len(paths)), key=lambda i: (-paths[i][1], paths[i][0]))
         top = order[0]
         alpha = float(paths[top][1]) / (2.0 * (kappa + 2))

@@ -5,22 +5,27 @@ describes the same chain and lumping, so every structural verdict and every
 exact number stays; only state indices and block order change, and with the
 block order the pair kernel's chunk layout. The stationary block process
 reversed in time has the same block entropies, and a reversed split-merge
-window is one, so the index and H(Y^n) are reversal-invariant too. Floats
-agree to a relative 1e-12 (largest measured: 2.7e-15), with 1e-15 absolute for
-entropies of zero.
+window is one, so the index, H(Y^n) and the upper edge H(Y^n+1) - H(Y^n) are
+reversal-invariant too, as are the chain's own block entropies. Floats agree
+to a relative 1e-12 (largest measured: 1.3e-14, on a relabelled ``pairs``
+item), with 1e-15 absolute for entropies of zero.
 
 Cases: every model file and 60 seeded sparse chains of 5-29 states in 2-4
-blocks.
+blocks; ``run_analysis`` is relabelled on the 100-300-state ``pairs`` items
+of ``bench/workloads.py`` at seeds 0 and 11.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, bench_workloads
 from lumpchain import (
+    AnalysisConfig,
+    block_entropy,
     build_chain,
     build_lumping,
     check_sfs,
@@ -29,13 +34,17 @@ from lumpchain import (
     check_weak_lumpable,
     entropy_loss_bound,
     lumped_block_entropy,
+    lumped_rate_bounds,
     parse_model,
     reverse_chain,
+    run_analysis,
     split_merge_index,
 )
 
 SEEDED = range(60)
 ENTROPY_LENGTHS = range(1, 6)
+UPPER_HORIZONS = range(1, 7)
+BENCH_SEEDS = (0, 11)
 LUMPABILITY_ORDERS = (1, 2)
 WEAK_HORIZON = 5
 SFS_ORDERS = (2, 3, 4)
@@ -123,3 +132,43 @@ def test_reversal_keeps_the_index_and_the_block_entropies(case):
         assert math.isclose(lumped_block_entropy(reversed_chain, lumping, n),
                             lumped_block_entropy(chain, lumping, n),
                             rel_tol=1e-12, abs_tol=1e-15), n
+        assert math.isclose(block_entropy(reversed_chain, n), block_entropy(chain, n),
+                            rel_tol=1e-12, abs_tol=1e-15), n
+    for n in UPPER_HORIZONS:
+        assert math.isclose(lumped_rate_bounds(reversed_chain, lumping, n).upper,
+                            lumped_rate_bounds(chain, lumping, n).upper,
+                            rel_tol=1e-12, abs_tol=1e-15), n
+
+
+@functools.cache
+def pairs_items():
+    workloads = bench_workloads()
+    return {f"pairs/seed{seed}/{i:02d}": item for seed in BENCH_SEEDS
+            for i, item in enumerate(workloads.make_items("pairs", seed, MODELS_DIR.parent))}
+
+
+def analysis_answers(chain, lumping, config):
+    """What ``run_analysis`` reports, floats under keys starting ``float``."""
+    report = run_analysis(chain, lumping, config)
+    out = {"kappa": report.kappa, "se": report.se, "sfs": report.sfs,
+           "strong": report.strong, "weak": report.weak,
+           "float chain_rate": report.chain_rate,
+           "float loss rate": None if report.loss_bound is None
+           else report.loss_bound.rate_lower_bound}
+    for b in report.bounds:
+        out[f"float lower n={b.horizon}"] = b.lower
+        out[f"float upper n={b.horizon}"] = b.upper
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(pairs_items()))
+def test_relabelling_changes_no_analysis_of_a_bench_pairs_item(case):
+    item = pairs_items()[case]
+    chain = build_chain(item.matrix, item.states)
+    lumping = build_lumping(chain, item.assignment)
+    p = item.params
+    config = AnalysisConfig(horizons=p["horizons"], k_range=p["k_range"],
+                            weak_horizon=p["weak_horizon"])
+    want = analysis_answers(chain, lumping, config)
+    for moved, moved_lumping in relabellings(chain, lumping, seed=sorted(pairs_items()).index(case)):
+        assert_same(analysis_answers(moved, moved_lumping, config), want)

@@ -8,10 +8,15 @@ through edges with the reported block word, the two to differ at every one
 of their kappa steps, and the loss bound's alpha is recomputed from its top
 path. Each re-check costs O(witness length * n^2), so it reaches the
 benchmark's 300-state inputs, where the enumerating oracles do not.
+An SFS violation names two state sequences; both are checked to be
+realisable with its start block and block word, and the first to be the
+smallest such sequence, found here by backward reachability masks.
 
 Cases: every model file, the ``lattice`` and ``pairs`` items of
 ``bench/workloads.py`` at seeds 0 and 11, and 120 seeded sparse chains of
-3-30 states, a quarter of them with faint edges.
+3-30 states, a quarter of them with faint edges. SFS is re-checked at
+k = 2, 3, 4 on the benchmark items and on three of the benchmark's seeded
+sparse chains of 300-1000 states.
 """
 
 import functools
@@ -25,6 +30,7 @@ from conftest import MODELS_DIR, bench_workloads
 from lumpchain import (
     build_chain,
     build_lumping,
+    check_sfs,
     check_strong_lumpable,
     check_weak_lumpable,
     entropy_loss_bound,
@@ -39,6 +45,8 @@ MODEL_WEAK_HORIZON = 6  # analyze's default
 BENCH_SEEDS = (0, 11)
 SEEDED = range(120)
 PROB_TOL = 1e-12  # the recomputed conditionals agree to 2.2e-16
+SFS_ORDERS = (2, 3, 4)
+LARGE_SPARSE = ((1000, 4, 3), (300, 2, 40), (600, 3, 20))  # n, blocks, out-degree
 
 
 @functools.cache
@@ -179,3 +187,71 @@ def test_split_merge_and_loss_bound_witnesses_hold_along_their_paths(case):
 
 def test_the_cases_have_kappa_witnesses():
     assert sum(kappa_witnesses(case) is not None for case in CASES) >= 150
+
+
+def large_sparse_case(n, n_blocks, out_degree):
+    """The benchmark's seeded sparse chain with ``n`` states."""
+    workloads = bench_workloads()
+    rng = np.random.default_rng([7, n, n_blocks, out_degree])
+    matrix, blocks = workloads.sparse_chain(rng, n, n_blocks, out_degree)
+    item = workloads.Item(key=f"n{n}", kind="analysis", matrix=matrix, blocks=blocks)
+    chain = build_chain(item.matrix, item.states)
+    return chain, build_lumping(chain, item.assignment)
+
+
+SFS_CASES = {
+    **{case: (lambda make=make: make()[:2])
+       for case, make in _bench_cases().items()},
+    **{f"large/n{n}-b{nb}-d{d}": (lambda args=(n, nb, d): large_sparse_case(*args))
+       for n, nb, d in LARGE_SPARSE},
+}
+
+
+def smallest_sequence(adj, masks):
+    """The state-index-smallest sequence whose i-th state lies in
+    ``masks[i]`` and whose steps are edges; one must exist. ``reach[i]``
+    marks the states of ``masks[i]`` from which the rest can still be walked."""
+    reach = [masks[-1]]
+    for mask in masks[-2::-1]:
+        reach.insert(0, mask & (adj.astype(np.int64) @ reach[0] > 0))
+    seq = [int(np.flatnonzero(reach[0])[0])]
+    for mask in reach[1:]:
+        seq.append(int(np.flatnonzero(adj[seq[-1]] & mask)[0]))
+    return tuple(seq)
+
+
+@functools.cache
+def sfs_violations(case):
+    """Each SFS violation of a case at k = 2, 3, 4, its sequences as state
+    indices; a k whose tables the budget refuses is left out."""
+    chain, lumping = SFS_CASES[case]()
+    found = []
+    for k in SFS_ORDERS:
+        try:
+            v = check_sfs(chain, lumping, k).violation
+        except HorizonTooLarge:
+            continue
+        if v is not None:
+            found.append((k, v, tuple(chain.index(x) for x in (v.start_a, *v.path_a)),
+                          tuple(chain.index(x) for x in (v.start_b, *v.path_b))))
+    return chain, lumping, tuple(found)
+
+
+@pytest.mark.parametrize("case", sorted(SFS_CASES))
+def test_sfs_violations_hold_along_their_sequences(case):
+    chain, lumping, found = sfs_violations(case)
+    adj = chain.adjacency
+    for k, v, a, b in found:
+        for seq in (a, b):
+            assert len(seq) == k, k
+            assert adj[seq[:-1], seq[1:]].all(), k  # realisable
+            assert lumping.blocks[lumping.of_state[seq[0]]] == v.start_block, k
+            assert tuple(lumping.blocks[lumping.of_state[x]] for x in seq[1:]) == v.block_word, k
+        assert a[1:] != b[1:] and a < b, k
+        masks = [lumping.indicator[:, lumping.block_index(label)] > 0
+                 for label in (v.start_block, *v.block_word)]
+        assert a == smallest_sequence(adj, masks), k
+
+
+def test_the_cases_have_sfs_violations():
+    assert sum(len(sfs_violations(case)[2]) for case in SFS_CASES) >= 100

@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 
 MASS_EPS = 1e-15
 _LATTICE_CELL_BUDGET = 1 << 22  # float cells one block-word pass may hold
-_BELIEF_TABLE_BUDGET = 2048  # beliefs the filter interns before it empties its table
+_BELIEF_TABLE_BYTES = 3 << 20  # bytes of beliefs the filter interns before it empties its table
 _BATCHES = 50  # equal slices of the filter's scores for its batch-means standard error
 _TINY = np.finfo(float).smallest_subnormal  # log floor: p * log2(max(p, _TINY)) is -0.0 at p = 0
 
@@ -341,10 +341,19 @@ def _block_entropies(laws: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a ``bool`` or a non-integer ``value`` as a ``ValidationError``;
+    Python and numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _uniforms(seed: int, count: int) -> np.ndarray:
-    """The seeded draw of the belief filter and the sampler. A negative seed
-    is a ``ValidationError``; a float64 count numpy cannot address (8 bytes
-    each) is ``HorizonTooLarge``."""
+    """The seeded draw of the belief filter and the sampler, which check the
+    count first. A seed that is not an integer or is negative is a
+    ``ValidationError``; a float64 count numpy cannot address (8 bytes each)
+    is ``HorizonTooLarge``."""
+    _check_integer("seed", seed)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if count > np.iinfo(np.intp).max // 8:
@@ -364,6 +373,9 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     means of ``_BATCHES`` (50) equal batches, so at least 50 post-burn-in
     steps are required. Fixed seeds give identical output.
 
+    ``steps``, ``burn_in`` and ``seed`` must be integers (numpy integers
+    too, but not ``bool``); anything else is refused before any draw.
+
     The filter interns its beliefs. After block y is drawn the belief lives
     on block y, and y with the bytes of its values there names it. Each
     distinct belief is predicted once, O(n^2) for n states, and keeps its
@@ -371,14 +383,18 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     filled the first time that block is drawn from it. A revisited step costs
     one bisection, O(log blocks), and one slot read. The block masses are
     scored once per distinct belief and gathered by belief, so every number
-    is the one a per-step loop gives. The table keeps at most
-    ``_BELIEF_TABLE_BUDGET`` beliefs: when it is full, the steps so far are
-    scored and it starts empty. Every step is scored; the burn-in is dropped
-    at the end. Memory is that budget plus one uniform, one score and one
-    belief id per step (8 + 8 + 4 bytes), however many beliefs a run visits.
+    is the one a per-step loop gives. The table keeps as many beliefs as fit
+    in ``_BELIEF_TABLE_BYTES`` (3 MiB) and at least one: when it is full, the
+    steps so far are scored and it starts empty. Every step is scored; the
+    burn-in is dropped at the end. Memory is that budget (or one belief, if
+    larger) plus one uniform, one score and one belief id per step
+    (8 + 8 + 4 bytes), however many states the chain has and however many
+    beliefs a run visits.
     """
+    _check_integer("steps", steps)
     if burn_in is None:
         burn_in = steps // 10
+    _check_integer("burn_in", burn_in)
     if not 0 <= burn_in < steps:
         raise ValidationError("need steps > burn_in >= 0")
     if steps - burn_in < _BATCHES:
@@ -403,7 +419,12 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     # a block from a belief whose prediction is gone costs one more.
     index = {}  # key of a belief -> id
     key_of = []  # per belief, its key
-    size, room = 0, _BELIEF_TABLE_BUDGET * nb  # cells in use, and the budget in cells
+    # A belief takes the bytes of its values on its home block, about 256
+    # bytes of key tuple, bytes object, dict entry and list slot, and 20 bytes
+    # a block of mass, sum and slot cells; the budget holds at least one.
+    per_belief = 8 * max(len(h) for h in homes[:nb]) + 256 + 20 * nb
+    capacity = max(1, _BELIEF_TABLE_BYTES // per_belief)
+    size, room = 0, capacity * nb  # cells in use, and the budget in cells
     masses, cums, slots = array("d"), array("d"), array("i", [-1]) * room
     ids = array("i")  # belief of each step since the table was last emptied
     first = 0  # the step of ids[0]

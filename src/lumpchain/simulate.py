@@ -7,8 +7,9 @@ byte identical trajectories everywhere. Occurrence statistics follow the
 greedy from-the-left selection rule for non-overlapping pattern traversals.
 Preimage growth is counted at the fixed prefix lengths ``CHECKPOINTS``.
 Every entry point samples through ``_sample_indices``, which draws with
-``entropy._uniforms`` as the belief filter does: a negative seed is a
-``ValidationError``, a length numpy cannot hold is ``HorizonTooLarge``.
+``entropy._uniforms`` as the belief filter does: a negative seed and a seed
+or length that is not an integer (or is a ``bool``) are ``ValidationError``s,
+refused before any draw; a length numpy cannot hold is ``HorizonTooLarge``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .chain import MarkovChain
-from .entropy import _uniforms
+from .entropy import _check_integer, _uniforms
 from .errors import EmptyPattern, UnrealisablePattern, ValidationError
 from .lumping import Lumping, preimage_count
 
@@ -58,7 +59,8 @@ def _sample_indices(chain: MarkovChain, length: int,
                     seeds: Sequence[int]) -> Iterator[np.ndarray]:
     """Seeded stationary state indices, one int64 array per seed in sorted
     seed order. The cumulative sums of μ and of the transition rows are taken
-    once per call; ``entropy._uniforms`` checks each seed as it draws.
+    once per call. Every seed must be an integer before any is drawn;
+    ``entropy._uniforms`` refuses a negative one as it draws.
 
     The loop reads the uniforms as Python floats and collects the states in a
     list: a numpy scalar read and an array write per step cost more than the
@@ -67,6 +69,9 @@ def _sample_indices(chain: MarkovChain, length: int,
     """
     if len(seeds) == 0:
         raise ValidationError("at least one seed is needed")
+    for seed in seeds:
+        _check_integer("seed", seed)
+    _check_integer("length", length)
     if length < 1:
         raise ValidationError("length must be >= 1")
     start_cum = np.cumsum(chain.stationary).tolist()
@@ -116,6 +121,7 @@ def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,
     Seeds must be nonempty, and a length below the smallest checkpoint is a
     ``ValidationError``, not an empty result.
     """
+    _check_integer("length", length)
     if length < CHECKPOINTS[0]:
         raise ValidationError(f"length {length} is below the smallest checkpoint "
                               f"{CHECKPOINTS[0]}, so no checkpoint is counted")

@@ -12,6 +12,7 @@ import os
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 import lumpchain
@@ -104,3 +105,12 @@ def raw_blocks(name: str):
 def corpus_case(request):
     chain, lumping = load_model(request.param)
     return request.param, chain, lumping, TRAITS[request.param]
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The seeds numpy's generator is asked for during a test."""
+    seen = []
+    draw = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: seen.append(a) or draw(*a))
+    return seen

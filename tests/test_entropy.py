@@ -404,6 +404,26 @@ def test_blackwell_rejects_arguments_without_a_standard_error():
     assert math.isfinite(est.stderr)
 
 
+def test_blackwell_refuses_non_integer_counts_and_seeds_before_any_draw(draws):
+    # a float burn-in would run every step and then fail on the slice, a
+    # float steps or seed would raise numpy's TypeError, and seed=True would
+    # run seed 1
+    ch, g = load_model("lossy_strong2")
+    bad = (("steps", {"steps": 2000.0}), ("steps", {"steps": True}),
+           ("steps", {"steps": "2000"}), ("burn_in", {"steps": 2000, "burn_in": 100.5}),
+           ("burn_in", {"steps": 2000, "burn_in": False}),
+           ("burn_in", {"steps": 2000, "burn_in": np.float64(100)}),
+           ("seed", {"steps": 2000, "seed": 1.5}), ("seed", {"steps": 2000, "seed": True}),
+           ("seed", {"steps": 2000, "seed": np.bool_(True)}))
+    for name, kwargs in bad:
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            blackwell_entropy_estimate(ch, g, **kwargs)
+    assert draws == []
+    # numpy integers are integers
+    assert (blackwell_entropy_estimate(ch, g, np.int64(2000), np.int32(100), np.uint8(3))
+            == blackwell_entropy_estimate(ch, g, 2000, 100, 3))
+
+
 def test_blackwell_reproducible():
     ch, g = load_model("lossy_strong2")
     a = blackwell_entropy_estimate(ch, g, steps=2_000, seed=42)

@@ -2,10 +2,10 @@
 
 ``tests/test_sampling_kernels.py`` pins the filter on runs of up to a few
 thousand steps. The ``sampling`` workload runs it for 20,000 steps on 8-100
-states, where the belief table flushes several times and nearly every belief
-of the 8-state item is new. Each of its eight filter inputs at seed 0 must
-give the bits of ``oracles.blackwell_reference``, estimate and stderr
-compared with ``==``.
+states. Nearly every belief of the 8-state item is new, so its 3 MiB belief
+table is emptied twice, and the 24-state item's once. Each of its eight
+filter inputs at seed 0 must give the bits of ``oracles.blackwell_reference``,
+estimate and stderr compared with ``==``.
 """
 
 import pytest

@@ -4,8 +4,9 @@ The belief filter must give the same bits as the per-step reference loop in
 ``oracles.blackwell_reference`` (estimate and stderr compared with ``==``),
 on chains whose beliefs almost never repeat, on the identity lumping (every
 belief a point mass, nearly every step a revisit) and across the flushes of
-its belief table; its memory must stay within one score and one belief id per
-step plus the table budget, and the CLI must print the reference's numbers.
+its belief table; its memory must stay within one uniform, one score and one
+belief id per step plus the table's byte budget, at 100 states and at 1000,
+and the CLI must print the reference's numbers.
 The preimage DP must give the exact counts of object-dtype matrix products
 on words long enough for those counts to pass 2^64, and every sampled
 trajectory must equal the one ``oracles.sample_indices_reference`` draws.
@@ -30,14 +31,15 @@ from lumpchain import (
 )
 from lumpchain import entropy as entropy_module
 from lumpchain.cli import main
-from lumpchain.entropy import _BELIEF_TABLE_BUDGET as BUDGET
+from lumpchain.entropy import _BELIEF_TABLE_BYTES as TABLE_BYTES
 
-# (steps, burn_in): runs shorter than the belief table's budget, without and
-# with the default burn-in, with a burn-in of 1365 and with 2048 post-burn-in
-# steps; then two and three tables' worth of steps, the last with a burn-in
-# that ends inside its second table
+# (steps, burn_in): without and with the default burn-in, with a burn-in of
+# 1365 and with 2048 post-burn-in steps, up to 6221 steps with a burn-in of
+# 2730. At up to 100 states the belief table holds at least 5000 beliefs, so
+# these runs fill no table; the flushes are pinned on small tables below and
+# at the benchmark's scale in ``test_filter_bench_scale.py``.
 STEP_CASES = ((572, 0), (512, None), (3149, 1365), (2148, 100),
-              (2 * BUDGET + 100, 100), (3 * BUDGET + 77, BUDGET + BUDGET // 3))
+              (4196, 100), (6221, 2730))
 
 # (seed, states, blocks): up to 100 states; eight or more blocks put more
 # than eight terms into a score's sum, where numpy's summation order changes;
@@ -63,11 +65,19 @@ def assert_filter_matches_reference(chain, lumping, steps, burn_in, seed):
     assert (got.estimate, got.stderr) == expected
 
 
+def belief_bytes(lumping):
+    """The bytes the filter counts per belief against its budget: its values
+    on the largest block, 256 bytes of key and index entry, and 20 bytes a
+    block of mass, cumulative-sum and next-belief cells."""
+    block = max(len(m) for m in lumping.member_indices)
+    return 8 * block + 256 + 20 * lumping.n_blocks
+
+
 @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_blackwell_matches_reference_on_corpus(path, seed):
     chain, lumping = parse_model(str(path))
-    assert_filter_matches_reference(chain, lumping, BUDGET + 300, None, seed)
+    assert_filter_matches_reference(chain, lumping, 2348, None, seed)
 
 
 @pytest.mark.parametrize("shape", RANDOM_CHAINS, ids=lambda s: f"seed{s[0]}-n{s[1]}-b{s[2]}")
@@ -88,35 +98,66 @@ def test_blackwell_matches_reference_on_identity_lumping(seed):
     assert_filter_matches_reference(chain, lumping, 3001, 17, seed)
 
 
-@pytest.mark.parametrize("budget", (1, 3, 7))
+@pytest.mark.parametrize("beliefs", (1, 3, 7, 0.99))
 @pytest.mark.parametrize("shape", RANDOM_CHAINS[:4], ids=lambda s: f"seed{s[0]}-n{s[1]}-b{s[2]}")
-def test_blackwell_matches_reference_across_table_flushes(monkeypatch, budget, shape):
-    # a table of a few beliefs is emptied every few steps; the burn-in of
-    # 333 steps ends inside a table and 1999 steps fill no whole number of
+def test_blackwell_matches_reference_across_table_flushes(monkeypatch, beliefs, shape):
+    # a byte budget of a few beliefs' worth empties the table every few steps,
+    # and one below a single belief's still holds one; the burn-in of 333
+    # steps ends inside a table and 1999 steps fill no whole number of
     # batches or tables
-    monkeypatch.setattr(entropy_module, "_BELIEF_TABLE_BUDGET", budget)
     chain, lumping, _, _ = random_instance(*shape)
+    monkeypatch.setattr(entropy_module, "_BELIEF_TABLE_BYTES",
+                        int(beliefs * belief_bytes(lumping)))
     assert_filter_matches_reference(chain, lumping, 1999, 333, seed=shape[0])
 
 
+def filter_peak(chain, lumping, steps, seed):
+    """The ``tracemalloc`` peak of one filter run, and the number of times
+    it scored its table: once when the run ends and once per emptying."""
+    scorings = []
+    score = entropy_module._block_entropies
+
+    def counted(laws):
+        scorings.append(len(laws))
+        return score(laws)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entropy_module, "_block_entropies", counted)
+        tracemalloc.start()
+        try:
+            blackwell_entropy_estimate(chain, lumping, steps, None, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak, len(scorings)
+
+
+# uniforms, scores and belief ids: what the filter holds per step besides
+# its table, in bytes
+PER_STEP = 8 + 8 + 4
+
+
 def test_blackwell_memory_is_bounded_by_the_table_budget():
-    # 200,000 steps on 100 states visit 15,947 distinct beliefs, about eight
-    # tables' worth: kept all at once they would take about 10 MB
+    # 200,000 steps on 100 states visit 15,947 distinct beliefs against a
+    # table of 5,868: kept all at once they would take about 8 MiB
     chain, lumping, _, _ = random_instance(0, 100, 4)
     steps = 200_000
-    block = max(int(c.sum()) for c in lumping.indicator.T)
-    # uniforms, scores and belief ids per step; per belief its bytes, its
-    # index entry and id, and mass, cumulative-sum and next-belief cells
-    per_step = 8 + 8 + 4
-    per_belief = 8 * block + 256 + 20 * lumping.n_blocks
-    bound = per_step * steps + BUDGET * per_belief + (1 << 19)
-    tracemalloc.start()
-    try:
-        blackwell_entropy_estimate(chain, lumping, steps, None, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound
+    assert TABLE_BYTES // belief_bytes(lumping) == 5_868
+    peak, scorings = filter_peak(chain, lumping, steps, 0)
+    assert scorings > 1  # the table was emptied
+    assert peak < PER_STEP * steps + TABLE_BYTES + (1 << 19)
+
+
+def test_blackwell_memory_at_1000_states_stays_within_the_byte_budget():
+    # a belief of this chain counts 2,336 bytes, so the budget holds 1,346;
+    # the table must stay within the budget however many states there are
+    matrix, blocks = oracles.random_sparse_chain(np.random.default_rng(0), 1000, 4)
+    chain = build_chain(matrix, [str(i) for i in range(1000)])
+    lumping = build_lumping(chain, {str(i): f"b{b}" for i, b in enumerate(blocks)})
+    chain.stationary  # the chain's (n x n) solve, cached before the filter is traced
+    steps = 3000
+    peak, _ = filter_peak(chain, lumping, steps, 0)
+    assert peak < PER_STEP * steps + TABLE_BYTES + (1 << 19)
 
 
 def reference_filter(chain, lumping, steps, burn_in=None, seed=0, batches=50):

@@ -95,6 +95,44 @@ def test_sampling_refuses_a_negative_seed_as_the_filter_does():
             call()
 
 
+def assert_refused(calls, draws):
+    for name, call in calls:
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            call()
+    assert draws == []
+
+
+def test_sample_trajectory_refuses_non_integer_lengths_and_seeds(draws):
+    ch, _ = load_model("merge_hub")
+    assert_refused((("length", lambda: sample_trajectory(ch, 10.0)),
+                    ("length", lambda: sample_trajectory(ch, True)),
+                    ("seed", lambda: sample_trajectory(ch, 10, seed=1.5)),
+                    ("seed", lambda: sample_trajectory(ch, 10, seed=True)),
+                    ("seed", lambda: sample_trajectory(ch, 10, seed=np.float64(1)))), draws)
+    assert sample_trajectory(ch, np.int64(10), np.int32(3)) == sample_trajectory(ch, 10, 3)
+
+
+def test_empirical_growth_refuses_non_integer_lengths_and_seeds(draws):
+    ch, g = load_model("merge_hub")
+    assert_refused((("length", lambda: empirical_growth(ch, g, 100.0, [0])),
+                    ("length", lambda: empirical_growth(ch, g, True, [0])),
+                    ("seed", lambda: empirical_growth(ch, g, 100, [0, 1.5])),
+                    ("seed", lambda: empirical_growth(ch, g, 100, [2, True]))), draws)
+    assert (empirical_growth(ch, g, np.int64(100), [np.int64(0), 1])
+            == empirical_growth(ch, g, 100, [0, 1]))
+
+
+def test_occurrence_rate_check_refuses_non_integer_lengths_and_seeds(draws):
+    ch, _ = load_model("merge_hub")
+    pattern = (ch.states[0],)
+    assert_refused((("length", lambda: occurrence_rate_check(ch, pattern, 10.5, [0])),
+                    ("length", lambda: occurrence_rate_check(ch, pattern, False, [0])),
+                    ("seed", lambda: occurrence_rate_check(ch, pattern, 10, [0, 1.0])),
+                    ("seed", lambda: occurrence_rate_check(ch, pattern, 10, [True]))), draws)
+    assert (occurrence_rate_check(ch, pattern, np.int16(100), [np.uint32(4), 5])
+            == occurrence_rate_check(ch, pattern, 100, [4, 5]))
+
+
 def test_occupation_frequency_matches_stationary():
     ch, _ = load_model("merge_hub")
     mu = ch.stationary

@@ -24,7 +24,10 @@ interpreter of its own, which computes:
 - on every model file and every such item, ``repr(check_strong_lumpable(...,
   k))`` and ``repr(check_weak_lumpable(..., k, max(h, k)))`` for k = 1, 2, 3,
   h being the item's weak horizon, or ``analyze``'s default 6 for a model
-  file; these carry the witnesses that the reports reduce to verdicts.
+  file; these carry the witnesses that the reports reduce to verdicts;
+- for every ``sampling`` item of ``bench/workloads.py`` at each seed, with
+  the benchmark's parameters: ``repr(blackwell_entropy_estimate(...))`` on
+  its filter items and ``repr(empirical_growth(...))`` on its growth items.
 
 A call that refuses its input is compared by the class and text of the
 error it raises.
@@ -127,6 +130,16 @@ def collect(seeds: list[int]) -> dict[str, str]:
                     lc.run_analysis(chain, lumping, config), "json")
                 reports.update(_structure(key, chain, lumping))
                 reports.update(_lumpability(key, chain, lumping, p["weak_horizon"]))
+        for item in workloads.make_items("sampling", seed, ROOT):
+            chain = lc.build_chain(item.matrix, item.states)
+            lumping = lc.build_lumping(chain, item.assignment)
+            p = item.params
+            if item.kind == "blackwell":
+                report = _repr(lc.blackwell_entropy_estimate, chain, lumping,
+                               p["steps"], None, p["seed"])
+            else:
+                report = _repr(lc.empirical_growth, chain, lumping, p["length"], p["seeds"])
+            reports[f"sampling/seed{seed}/{item.key}"] = report
     for n, nb, d in LARGE_CHAINS:
         matrix, blocks = workloads.sparse_chain(np.random.default_rng([7, n, nb, d]), n, nb, d)
         item = workloads.Item(key=f"large/n{n}-b{nb}-d{d}", kind="analysis",

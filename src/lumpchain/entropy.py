@@ -349,11 +349,10 @@ def _check_integer(name: str, value) -> None:
 
 
 def _uniforms(seed: int, count: int) -> np.ndarray:
-    """The seeded draw of the belief filter and the sampler, which check the
-    count first. A seed that is not an integer or is negative is a
+    """The seeded draw of the belief filter and the sampler, which check that
+    the seed and the count are integers first. A negative seed is a
     ``ValidationError``; a float64 count numpy cannot address (8 bytes each)
     is ``HorizonTooLarge``."""
-    _check_integer("seed", seed)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if count > np.iinfo(np.intp).max // 8:
@@ -389,12 +388,15 @@ def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: in
     burn-in is dropped at the end. Memory is that budget (or one belief, if
     larger) plus one uniform, one score and one belief id per step
     (8 + 8 + 4 bytes), however many states the chain has and however many
-    beliefs a run visits.
+    beliefs a run visits. Not counted is ``chain.stationary``: a chain whose
+    stationary law is not yet cached solves for it first, a dense solve that
+    holds a few n x n arrays.
     """
     _check_integer("steps", steps)
     if burn_in is None:
         burn_in = steps // 10
     _check_integer("burn_in", burn_in)
+    _check_integer("seed", seed)
     if not 0 <= burn_in < steps:
         raise ValidationError("need steps > burn_in >= 0")
     if steps - burn_in < _BATCHES:

@@ -33,13 +33,18 @@ from lumpchain import entropy as entropy_module
 from lumpchain.cli import main
 from lumpchain.entropy import _BELIEF_TABLE_BYTES as TABLE_BYTES
 
-# (steps, burn_in): without and with the default burn-in, with a burn-in of
-# 1365 and with 2048 post-burn-in steps, up to 6221 steps with a burn-in of
-# 2730. At up to 100 states the belief table holds at least 5000 beliefs, so
-# these runs fill no table; the flushes are pinned on small tables below and
-# at the benchmark's scale in ``test_filter_bench_scale.py``.
+# beliefs a table holds in the corpus and random-chain runs: the byte budget
+# of 3 MiB holds at least 5000 on these chains, so those runs set it to this
+# many beliefs' worth, and long runs on chains whose beliefs rarely repeat
+# empty their tables
+TABLE = 2048
+
+# (steps, burn_in): runs shorter than a table, without and with the default
+# burn-in, with a burn-in of 1365 and with 2048 post-burn-in steps; then two
+# and three tables' worth of steps, the last with a burn-in that ends inside
+# its second table
 STEP_CASES = ((572, 0), (512, None), (3149, 1365), (2148, 100),
-              (4196, 100), (6221, 2730))
+              (2 * TABLE + 100, 100), (3 * TABLE + 77, TABLE + TABLE // 3))
 
 # (seed, states, blocks): up to 100 states; eight or more blocks put more
 # than eight terms into a score's sum, where numpy's summation order changes;
@@ -73,17 +78,39 @@ def belief_bytes(lumping):
     return 8 * block + 256 + 20 * lumping.n_blocks
 
 
+def set_table(monkeypatch, lumping, beliefs):
+    """Set the filter's byte budget to ``beliefs`` beliefs' worth."""
+    monkeypatch.setattr(entropy_module, "_BELIEF_TABLE_BYTES",
+                        int(beliefs * belief_bytes(lumping)))
+
+
+def count_scorings(monkeypatch):
+    """The number of beliefs in each table the filter scores, appended as it
+    scores them: once per emptying and once when the run ends."""
+    scorings = []
+    score = entropy_module._block_entropies
+
+    def counted(laws):
+        scorings.append(len(laws))
+        return score(laws)
+
+    monkeypatch.setattr(entropy_module, "_block_entropies", counted)
+    return scorings
+
+
 @pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
 @pytest.mark.parametrize("seed", (0, 1, 2))
-def test_blackwell_matches_reference_on_corpus(path, seed):
+def test_blackwell_matches_reference_on_corpus(monkeypatch, path, seed):
     chain, lumping = parse_model(str(path))
-    assert_filter_matches_reference(chain, lumping, 2348, None, seed)
+    set_table(monkeypatch, lumping, TABLE)
+    assert_filter_matches_reference(chain, lumping, TABLE + 300, None, seed)
 
 
 @pytest.mark.parametrize("shape", RANDOM_CHAINS, ids=lambda s: f"seed{s[0]}-n{s[1]}-b{s[2]}")
 @pytest.mark.parametrize("steps,burn_in", STEP_CASES)
-def test_blackwell_matches_reference_on_random_chains(shape, steps, burn_in):
+def test_blackwell_matches_reference_on_random_chains(monkeypatch, shape, steps, burn_in):
     chain, lumping, _, _ = random_instance(*shape)
+    set_table(monkeypatch, lumping, TABLE)
     assert_filter_matches_reference(chain, lumping, steps, burn_in, seed=shape[0] + steps)
 
 
@@ -99,37 +126,37 @@ def test_blackwell_matches_reference_on_identity_lumping(seed):
 
 
 @pytest.mark.parametrize("beliefs", (1, 3, 7, 0.99))
-@pytest.mark.parametrize("shape", RANDOM_CHAINS[:4], ids=lambda s: f"seed{s[0]}-n{s[1]}-b{s[2]}")
+@pytest.mark.parametrize("shape", RANDOM_CHAINS, ids=lambda s: f"seed{s[0]}-n{s[1]}-b{s[2]}")
 def test_blackwell_matches_reference_across_table_flushes(monkeypatch, beliefs, shape):
     # a byte budget of a few beliefs' worth empties the table every few steps,
     # and one below a single belief's still holds one; the burn-in of 333
     # steps ends inside a table and 1999 steps fill no whole number of
     # batches or tables
     chain, lumping, _, _ = random_instance(*shape)
-    monkeypatch.setattr(entropy_module, "_BELIEF_TABLE_BYTES",
-                        int(beliefs * belief_bytes(lumping)))
+    set_table(monkeypatch, lumping, beliefs)
+    scorings = count_scorings(monkeypatch)
     assert_filter_matches_reference(chain, lumping, 1999, 333, seed=shape[0])
+    # the table was emptied, each time full at the capacity this test's
+    # count of a belief's bytes gives
+    assert_tables(scorings, max(1, int(beliefs)))
+
+
+def assert_tables(scorings, capacity):
+    """The filter emptied its table at least once, each time with
+    ``capacity`` beliefs in it, and ended with at most that many."""
+    assert len(scorings) > 1
+    assert set(scorings[:-1]) == {capacity}
+    assert scorings[-1] <= capacity
 
 
 def filter_peak(chain, lumping, steps, seed):
-    """The ``tracemalloc`` peak of one filter run, and the number of times
-    it scored its table: once when the run ends and once per emptying."""
-    scorings = []
-    score = entropy_module._block_entropies
-
-    def counted(laws):
-        scorings.append(len(laws))
-        return score(laws)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(entropy_module, "_block_entropies", counted)
-        tracemalloc.start()
-        try:
-            blackwell_entropy_estimate(chain, lumping, steps, None, seed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    return peak, len(scorings)
+    """The ``tracemalloc`` peak of one filter run."""
+    tracemalloc.start()
+    try:
+        blackwell_entropy_estimate(chain, lumping, steps, None, seed)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # uniforms, scores and belief ids: what the filter holds per step besides
@@ -137,26 +164,32 @@ def filter_peak(chain, lumping, steps, seed):
 PER_STEP = 8 + 8 + 4
 
 
-def test_blackwell_memory_is_bounded_by_the_table_budget():
+def test_blackwell_memory_is_bounded_by_the_table_budget(monkeypatch):
     # 200,000 steps on 100 states visit 15,947 distinct beliefs against a
     # table of 5,868: kept all at once they would take about 8 MiB
     chain, lumping, _, _ = random_instance(0, 100, 4)
     steps = 200_000
     assert TABLE_BYTES // belief_bytes(lumping) == 5_868
-    peak, scorings = filter_peak(chain, lumping, steps, 0)
-    assert scorings > 1  # the table was emptied
+    scorings = count_scorings(monkeypatch)
+    peak = filter_peak(chain, lumping, steps, 0)
+    assert_tables(scorings, 5_868)
     assert peak < PER_STEP * steps + TABLE_BYTES + (1 << 19)
 
 
-def test_blackwell_memory_at_1000_states_stays_within_the_byte_budget():
+def test_blackwell_memory_at_1000_states_stays_within_the_byte_budget(monkeypatch):
     # a belief of this chain counts 2,336 bytes, so the budget holds 1,346;
     # the table must stay within the budget however many states there are
     matrix, blocks = oracles.random_sparse_chain(np.random.default_rng(0), 1000, 4)
     chain = build_chain(matrix, [str(i) for i in range(1000)])
     lumping = build_lumping(chain, {str(i): f"b{b}" for i, b in enumerate(blocks)})
-    chain.stationary  # the chain's (n x n) solve, cached before the filter is traced
+    # the chain's (n x n) stationary solve, which the filter's budget does
+    # not count, is cached before the filter is traced
+    chain.stationary
     steps = 3000
-    peak, _ = filter_peak(chain, lumping, steps, 0)
+    assert TABLE_BYTES // belief_bytes(lumping) == 1_346
+    scorings = count_scorings(monkeypatch)
+    peak = filter_peak(chain, lumping, steps, 0)
+    assert_tables(scorings, 1_346)
     assert peak < PER_STEP * steps + TABLE_BYTES + (1 << 19)
 
 

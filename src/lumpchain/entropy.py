@@ -348,16 +348,18 @@ def _check_integer(name: str, value) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
-def _uniforms(seed: int, count: int) -> np.ndarray:
+def _uniforms(seed: int, count: int, head: int | None = None) -> np.ndarray:
     """The seeded draw of the belief filter and the sampler, which check that
     the seed and the count are integers first. A negative seed is a
     ``ValidationError``; a float64 count numpy cannot address (8 bytes each)
-    is ``HorizonTooLarge``."""
+    is ``HorizonTooLarge``. With ``head``, only the first ``head`` of the
+    ``count`` uniforms are drawn: the generator draws in order, so they are
+    the same numbers, and both checks still read ``count``."""
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if count > np.iinfo(np.intp).max // 8:
         raise HorizonTooLarge(f"{count} uniforms do not fit in one float64 array")
-    return np.random.default_rng(seed).random(count)
+    return np.random.default_rng(seed).random(count if head is None else min(count, head))
 
 
 def blackwell_entropy_estimate(chain: MarkovChain, lumping: "Lumping", steps: int,

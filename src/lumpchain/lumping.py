@@ -251,27 +251,44 @@ class LumpabilityVerdict:
 def preimage_count(chain: MarkovChain, lumping: Lumping, word: Sequence[str]) -> int:
     """Number of realisable state words with the given block image.
 
-    Polynomial dynamic programme over exact integers: carry, per state, the
-    count of realisable prefixes ending there; push counts along the edges
-    from the current block into the next. Cost: O(len(word) * edges between
-    consecutive blocks) after one pass over the edges per call; counts are
+    Dynamic programme over exact integers on the live support: carry, for
+    each state that ends a realisable prefix, the number of such prefixes,
+    and push the counts along the edges into the next block; the count is 0
+    as soon as no state carries one. Every label is mapped first, so the
+    first unknown one is an ``UnknownBlock`` before any counting. Cost: per
+    call, one numpy pass over the adjacency matrix and O(edges + states *
+    blocks) to list each state's successors by block; per symbol, the edges
+    from the states that carry a count into the next block. Counts are
     Python ints, so they stay exact however large they grow.
     """
-    w = [lumping.block_index(b) for b in word]
+    try:
+        w = list(map(lumping._block_index.__getitem__, word))
+    except KeyError as exc:
+        raise UnknownBlock(f"unknown block {exc.args[0]!r}") from None
     if not w:
         return 1  # the empty state word
-    block = lumping.of_state.tolist()
-    edges: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (block, next block)
-    for x, y in zip(*(a.tolist() for a in np.nonzero(chain.adjacency))):
-        edges.setdefault((block[x], block[y]), []).append((x, y))
-    n = chain.n
-    counts = [int(b == w[0]) for b in block]
-    for a, b in zip(w, w[1:]):
-        nxt = [0] * n
-        for x, y in edges.get((a, b), ()):
-            nxt[y] += counts[x]
+    n, nb = chain.n, lumping.n_blocks
+    # states renumbered block by block, so each row's edges come out in block order
+    order = np.concatenate(lumping.member_indices)
+    src, col = divmod(np.flatnonzero(chain.adjacency[:, order]), n)
+    dst = order[col]
+    ends = np.cumsum(np.bincount(src * nb + lumping.of_state[dst], minlength=n * nb)).tolist()
+    succ = dst.tolist()
+    cells = [succ[a:e] for a, e in zip([0] + ends, ends)]  # cell x * nb + b: x's successors in B_b
+    into = [cells[b::nb] for b in range(nb)]  # into[b][x]
+    counts = dict.fromkeys(lumping.member_indices[w[0]].tolist(), 1)
+    for b in w[1:]:
+        step, nxt = into[b], {}
+        for x, c in counts.items():
+            for y in step[x]:
+                if y in nxt:
+                    nxt[y] += c
+                else:
+                    nxt[y] = c
+        if not nxt:
+            return 0
         counts = nxt
-    return sum(counts)
+    return sum(counts.values())
 
 
 # ---------------------------------------------------------------------------

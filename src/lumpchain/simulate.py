@@ -55,12 +55,14 @@ class OccurrenceRateCheck:
     per_seed: tuple[float, ...]
 
 
-def _sample_indices(chain: MarkovChain, length: int,
-                    seeds: Sequence[int]) -> Iterator[np.ndarray]:
+def _sample_indices(chain: MarkovChain, length: int, seeds: Sequence[int],
+                    head: int | None = None) -> Iterator[np.ndarray]:
     """Seeded stationary state indices, one int64 array per seed in sorted
-    seed order. The cumulative sums of μ and of the transition rows are taken
+    seed order: the first ``head`` states (default all) of a ``length``-step
+    trajectory. The cumulative sums of μ and of the transition rows are taken
     once per call. Every seed must be an integer before any is drawn;
-    ``entropy._uniforms`` refuses a negative one as it draws.
+    ``entropy._uniforms`` refuses a negative one, and a length numpy cannot
+    hold, as it draws.
 
     The loop reads the uniforms as Python floats and collects the states in a
     list: a numpy scalar read and an array write per step cost more than the
@@ -79,7 +81,7 @@ def _sample_indices(chain: MarkovChain, length: int,
     last = chain.n - 1
     for seed in sorted(seeds):
         cum, out = start_cum, []
-        for v in _uniforms(seed, length).tolist():
+        for v in _uniforms(seed, length, head).tolist():
             # leaving out a row's last sum caps the drawn index at the last state
             x = bisect_right(cum, v * cum[-1], 0, last)
             out.append(x)
@@ -116,7 +118,10 @@ def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,
     ``CHECKPOINTS``.
 
     Each seed yields one stationary trajectory; its block image is counted at
-    every checkpoint not exceeding the trajectory length. The geometric mean
+    every checkpoint not exceeding the trajectory length. Only the first
+    ``min(length, CHECKPOINTS[-1])`` states of each trajectory are drawn,
+    since no count reads past the last checkpoint; a ``length`` the sampler
+    refuses is refused all the same. The geometric mean
     of the per-word n-th roots summarises the growth at each checkpoint.
     Seeds must be nonempty, and a length below the smallest checkpoint is a
     ``ValidationError``, not an empty result.
@@ -126,7 +131,7 @@ def empirical_growth(chain: MarkovChain, lumping: Lumping, length: int,
         raise ValidationError(f"length {length} is below the smallest checkpoint "
                               f"{CHECKPOINTS[0]}, so no checkpoint is counted")
     words = [[lumping.blocks[b] for b in lumping.of_state[idx].tolist()]
-             for idx in _sample_indices(chain, length, seeds)]
+             for idx in _sample_indices(chain, length, seeds, CHECKPOINTS[-1])]
     out = []
     for n in CHECKPOINTS[:bisect_right(CHECKPOINTS, length)]:
         counts = [preimage_count(chain, lumping, w[:n]) for w in words]

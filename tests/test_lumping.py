@@ -79,11 +79,13 @@ def test_lumping_preimage_index(corpus_case):
 
 
 def test_preimage_operations_reject_unknown_block():
+    # the first unknown label is refused wherever it sits, also after a
+    # prefix that no state path realises (A A: both A states lead to B)
     ch, g = load_model("merge_hub")
-    with pytest.raises(UnknownBlock):
-        preimage_count(ch, g, ["A", "Z"])
-    with pytest.raises(UnknownBlock):
-        preimage_count(ch, g, ["Z"])
+    assert preimage_count(ch, g, ["A", "A"]) == 0
+    for word in (["A", "Z"], ["Z"], ["B", "Z", "A"], ["A", "A", "Z", "Y"]):
+        with pytest.raises(UnknownBlock, match="^unknown block 'Z'$"):
+            preimage_count(ch, g, word)
 
 
 def test_preimage_count_identity_is_one():

@@ -8,8 +8,10 @@ its belief table; its memory must stay within one uniform, one score and one
 belief id per step plus the table's byte budget, at 100 states and at 1000,
 and the CLI must print the reference's numbers.
 The preimage DP must give the exact counts of object-dtype matrix products
-on words long enough for those counts to pass 2^64, and every sampled
-trajectory must equal the one ``oracles.sample_indices_reference`` draws.
+on words long enough for those counts to pass 2^64, on sparse chains and on
+dense ones (every state of a block counted), on the benchmark's growth
+items, and 0 on words that stop being realisable; every sampled trajectory
+must equal the one ``oracles.sample_indices_reference`` draws.
 """
 
 import tracemalloc
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import MODELS_DIR, model_path
+from conftest import MODELS_DIR, bench_workloads, model_path
 from lumpchain import (
     blackwell_entropy_estimate,
     build_chain,
@@ -215,17 +217,82 @@ def test_filter_cli_output_is_the_reference_output(monkeypatch, name, seed, args
     assert got == oracles.cli_output_v1(argv)
 
 
-@pytest.mark.parametrize("seed,n_states,n_blocks,length", (
-    (11, 6, 2, 200), (12, 10, 2, 300), (13, 16, 2, 400), (14, 24, 3, 500),
-    (15, 30, 3, 600), (16, 40, 3, 700), (17, 50, 3, 800), (18, 60, 3, 1000)))
-def test_preimage_count_matches_matrix_products(seed, n_states, n_blocks, length):
-    chain, lumping, matrix, blocks = random_instance(seed, n_states, n_blocks)
+def dense_instance(seed, n_states, n_blocks):
+    """Every transition positive, so the counted states fill whole blocks."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(0.5, 1.5, (n_states, n_states))
+    matrix = (matrix / matrix.sum(axis=1, keepdims=True)).tolist()
+    blocks = [int(b) for b in rng.permutation(np.arange(n_states) % n_blocks)]
+    chain = build_chain(matrix, [str(i) for i in range(n_states)])
+    lumping = build_lumping(chain, {str(i): f"b{b}" for i, b in enumerate(blocks)})
+    return chain, lumping, matrix, blocks
+
+
+def bench_growth_instance(seed, n_states):
+    """The ``sampling`` growth item of ``bench/workloads.py`` with ``n_states``
+    states, and the first of its seeds."""
+    item = next(i for i in bench_workloads().make_items("sampling", seed, MODELS_DIR.parent)
+                if i.kind == "growth" and len(i.blocks) == n_states)
+    chain = build_chain(item.matrix, item.states)
+    lumping = build_lumping(chain, item.assignment)
+    return chain, lumping, item.matrix.tolist(), item.blocks, item.params["seeds"][0]
+
+
+def until_unrealisable(matrix, blocks, word):
+    """``word`` followed by the blocks that each leave the fewest states
+    ending a realisable path, up to the first that leaves none."""
+    adj = np.asarray(matrix) > 0
+    member = np.arange(max(blocks) + 1)[:, None] == np.asarray(blocks)[None, :]
+    live = member[word[0]]
+    for b in word[1:]:
+        live = adj[live].any(axis=0) & member[b]
+    word = list(word)
+    for _ in range(len(blocks)):
+        reach = adj[live].any(axis=0) & member
+        word.append(int(reach.sum(axis=1).argmin()))
+        live = reach[word[-1]]
+        if not live.any():
+            return word
+    raise AssertionError("no block word of this chain stops being realisable")
+
+
+# (family, seed, states, blocks, length): sampled words on sparse chains, on
+# dense ones, and on the bench's growth items at seed 0 (their first seed
+# samples the word); "dying" extends a sampled word until no state path
+# realises it
+PREIMAGE_CASES = (
+    ("sparse", 11, 6, 2, 200), ("sparse", 12, 10, 2, 300), ("sparse", 13, 16, 2, 400),
+    ("sparse", 14, 24, 3, 500), ("sparse", 15, 30, 3, 600), ("sparse", 16, 40, 3, 700),
+    ("sparse", 17, 50, 3, 800), ("sparse", 18, 60, 3, 1000),
+    ("dense", 21, 12, 3, 100), ("dense", 22, 40, 4, 60),
+    ("dying", 23, 12, 3, 300), ("dying", 24, 40, 4, 500),
+    ("bench", 0, 16, 3, 500), ("bench", 0, 40, 3, 500), ("bench", 0, 64, 4, 500),
+    ("bench", 0, 100, 4, 500))
+
+
+@pytest.mark.parametrize("family,seed,n_states,n_blocks,length", PREIMAGE_CASES,
+                         ids=["-".join(map(str, c[1:] if c[0] == "sparse" else c))
+                              for c in PREIMAGE_CASES])
+def test_preimage_count_matches_matrix_products(family, seed, n_states, n_blocks, length):
+    if family == "bench":
+        chain, lumping, matrix, blocks, seed = bench_growth_instance(seed, n_states)
+    else:
+        make = dense_instance if family == "dense" else random_instance
+        chain, lumping, matrix, blocks = make(seed, n_states, n_blocks)
     states = sample_trajectory(chain, length, seed=seed).states
-    word = [lumping.map[s] for s in states]
-    expected = oracles.preimage_count_by_matrix(matrix, blocks,
-                                                [int(b[1:]) for b in word])
-    assert expected > 2 ** 64
-    assert preimage_count(chain, lumping, word) == expected
+    word = [int(lumping.map[s][1:]) for s in states]
+    label = {int(b[1:]): b for b in lumping.blocks}
+    if family == "dying":
+        word = until_unrealisable(matrix, blocks, word)
+        alive = oracles.preimage_count_by_matrix(matrix, blocks, word[:-1])
+        assert alive > 0
+        assert preimage_count(chain, lumping, [label[b] for b in word[:-1]]) == alive
+    expected = oracles.preimage_count_by_matrix(matrix, blocks, word)
+    if family == "dying":
+        assert expected == 0
+    elif family != "bench":
+        assert expected > 2 ** 64
+    assert preimage_count(chain, lumping, [label[b] for b in word]) == expected
 
 
 @pytest.mark.parametrize("shape", RANDOM_CHAINS[:6], ids=lambda s: f"seed{s[0]}-n{s[1]}-b{s[2]}")

@@ -9,8 +9,10 @@ from lumpchain import (
     occurrence_rate_check,
     sample_trajectory,
 )
+from lumpchain import simulate
 from lumpchain.errors import (
     EmptyPattern,
+    HorizonTooLarge,
     UnrealisablePattern,
     ValidationError,
 )
@@ -69,6 +71,28 @@ def test_growth_rejects_a_length_below_every_checkpoint():
         empirical_growth(ch, g, 9, [0])
     assert [r.n for r in empirical_growth(ch, g, 10, [0])] == [10]
     assert [r.n for r in empirical_growth(ch, g, 499, [0])] == [10, 50, 100]
+
+
+def test_growth_draws_no_state_past_the_last_checkpoint(monkeypatch):
+    # no count reads past the last checkpoint, so a longer trajectory draws
+    # no more uniforms and counts the same words; what the sampler refuses
+    # for the full length is still refused, in the same order
+    ch, g = load_model("lossy_strong2")
+    seeds = (3, 0, 7)
+    want = empirical_growth(ch, g, 2000, seeds)
+    drawn, uniforms = [], simulate._uniforms
+
+    def counted(*args):
+        drawn.append(len(out := uniforms(*args)))
+        return out
+
+    monkeypatch.setattr(simulate, "_uniforms", counted)
+    assert empirical_growth(ch, g, 50_000, seeds) == want
+    assert drawn == [simulate.CHECKPOINTS[-1]] * len(seeds)
+    with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+        empirical_growth(ch, g, 2 ** 62, [0, -1])
+    with pytest.raises(HorizonTooLarge):
+        empirical_growth(ch, g, 2 ** 62, [0])
 
 
 def test_occurrence_rate_rejects_no_seeds():

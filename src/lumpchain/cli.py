@@ -166,12 +166,15 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
             raise ValidationError("a Blackwell seed or burn-in needs blackwell_steps")
     elif config.blackwell_seed is None:
         raise ValidationError("blackwell_steps needs a blackwell_seed")
-    # orders and horizons below 1 and a bad tol, refused before any work as the callees would
-    if min(config.k_range, default=1) < 1:
+    # bad orders, horizons and tol are refused before any work, as the callees would
+    k_range = tuple(ent._check_integer("k", k) for k in config.k_range)
+    horizons = tuple(ent._check_integer("n", n) for n in config.horizons)
+    weak_horizon = ent._check_integer("weak horizon", config.weak_horizon)
+    if min(k_range, default=1) < 1:
         raise KTooSmall("strong lumpability order must be >= 1")
-    if min(config.horizons, default=1) < 1:
+    if min(horizons, default=1) < 1:
         raise ValidationError("n must be >= 1")
-    if config.weak_horizon < 1:
+    if weak_horizon < 1:
         raise ValidationError("weak horizon must be >= 1")
     lp._check_tol(config.tol)
     blackwell = None
@@ -185,18 +188,17 @@ def run_analysis(chain: MarkovChain, lumping: lp.Lumping,
     except HorizonTooLarge:  # too many minimal block words to score; the index stands
         loss_bound = None
     se = lp.check_single_entry(chain, lumping)
-    sfs = {k: lp.check_sfs(chain, lumping, k).holds
-           for k in config.k_range if k >= 2}
+    sfs = {k: lp.check_sfs(chain, lumping, k).holds for k in k_range if k >= 2}
     # one upper and one lower pass, as deep as the checks below need, serve them all
-    lower = max((*config.horizons, *config.k_range), default=0)
-    upper = max(lower, config.weak_horizon) if config.k_range else lower
-    with ent.lattice(chain, lumping, upper, lower):
-        strong = {k: lp.check_strong_lumpable(chain, lumping, k, config.tol).strong
-                  for k in config.k_range}
-        weak = {k: lp.check_weak_lumpable(
-                    chain, lumping, k, max(config.weak_horizon, k), config.tol).weak_up_to_horizon
-                for k in config.k_range}
-        bounds = tuple(ent.lumped_rate_bounds(chain, lumping, n) for n in config.horizons)
+    lower = max((*horizons, *k_range), default=0)
+    upper = max(lower, weak_horizon) if k_range else lower
+    lat = ent.BlockWordLattice(chain, lumping, upper, lower)
+    strong = {k: lp.check_strong_lumpable(chain, lumping, k, config.tol, lattice=lat).strong
+              for k in k_range}
+    weak = {k: lp.check_weak_lumpable(chain, lumping, k, max(weak_horizon, k), config.tol,
+                                      lattice=lat).weak_up_to_horizon
+            for k in k_range}
+    bounds = tuple(ent.lumped_rate_bounds(chain, lumping, n, lattice=lat) for n in horizons)
     return AnalysisReport(
         kappa=kappa,
         se=se.holds,
@@ -465,9 +467,8 @@ def _cmd(args) -> None:
               {"k": args.k, **_to_json(v), "caveat": _WEAK_CAVEAT,
                "conditional_entropies": res.conditional_entropies, "witness": res.witness})
     elif args.command == "bounds":
-        with ent.lattice(chain, lumping, args.n, args.n):
-            b = ent.lumped_rate_bounds(chain, lumping, args.n)
-            loss = ent.conditional_entropy_rate_estimate(chain, lumping, args.n)
+        b = ent.lumped_rate_bounds(chain, lumping, args.n)
+        loss = ent._loss_within(ent.chain_entropy_rate(chain), b)
         human = (f"{_bounds_text(b)}; loss in "
                  f"[{loss.loss_lower:.6f}, {loss.loss_upper:.6f}]\n")
         _emit(args, human, {**_to_json(b), **_to_json(loss)})

@@ -3,8 +3,8 @@
 All values are in bits (binary logarithm) with the convention 0*log2(0) = 0.
 Quantities over lumped words are exact: :func:`lumped_forward` pushes the
 joint mass of block words and hidden state through the transition matrix,
-and every block-word quantity reads its tables via a :class:`BlockWordLattice`,
-which also scores H(next block | level) once for each level it builds.
+and the bounds and lumpability verdicts read a :class:`BlockWordLattice`
+(``lattice=``), which also scores H(next block | level) once per level.
 Mass rule: a word of joint mass at most ``MASS_EPS``, counting its start
 state's stationary weight, is dropped with all its extensions.
 
@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING
@@ -259,48 +257,51 @@ class BlockWordLattice:
         return self._lower_entropy[h - 1]
 
 
-_SCOPE: ContextVar[BlockWordLattice | None] = ContextVar("lattice_scope", default=None)
-
-
-@contextmanager
-def lattice(chain: MarkovChain, lumping: "Lumping", upper_horizon: int, lower_horizon: int):
-    """Yield the lattice of the enclosing ``lattice`` block if it covers this
-    chain, lumping and both horizons, else a new one that calls made inside
-    this block share. Sharing only saves passes: a lattice reads the same at
-    every horizon it covers, however deep it was built."""
-    lat = _SCOPE.get()
-    if (lat is None or lat.chain is not chain or lat.lumping is not lumping
-            or lat.upper_horizon < upper_horizon or lat.lower_horizon < lower_horizon):
-        lat = BlockWordLattice(chain, lumping, upper_horizon, lower_horizon)
-    token = _SCOPE.set(lat)
-    try:
-        yield lat
-    finally:
-        _SCOPE.reset(token)
+def _lattice_for(chain: MarkovChain, lumping: "Lumping", upper: int, lower: int,
+                 lattice: BlockWordLattice | None) -> BlockWordLattice:
+    """``lattice``, refused unless it covers this chain, lumping and both
+    horizons, or a new lattice if it is None. Sharing one only saves passes:
+    a lattice reads the same at every horizon it covers, however deep."""
+    if lattice is None:
+        return BlockWordLattice(chain, lumping, upper, lower)
+    if (lattice.chain is not chain or lattice.lumping is not lumping
+            or lattice.upper_horizon < upper or lattice.lower_horizon < lower):
+        raise ValidationError(f"the lattice does not cover this chain and lumping to "
+                              f"upper horizon {upper} and lower horizon {lower}")
+    return lattice
 
 
 def lumped_block_entropy(chain: MarkovChain, lumping: "Lumping", n: int) -> float:
     """Entropy of a stationary length-n block word, by exact forward pass."""
+    n = _check_integer("n", n)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    with lattice(chain, lumping, n, 0) as lat:
-        return _plogp(lat.upper(n)[1].sum(axis=1))
+    return _plogp(lumped_forward(chain, lumping, chain.stationary, n).levels[n][1].sum(axis=1))
 
 
-def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int) -> EntropyBounds:
+def lumped_rate_bounds(chain: MarkovChain, lumping: "Lumping", n: int, *,
+                       lattice: BlockWordLattice | None = None) -> EntropyBounds:
     """Sandwich on the lumped entropy rate at horizon n.
 
     upper = H(next block | previous n blocks), lower additionally conditions
     on the exact state at time 0. Both are computed from exact joint
     distributions, not estimated. Conditioning never raises entropy, so the
     lower edge is clamped at the upper one, which rounding could otherwise
-    pass by an ulp where the two agree.
+    pass by an ulp where the two agree. ``lattice``, if given, must cover n.
     """
+    n = _check_integer("n", n)
     if n < 1:
         raise ValidationError("n must be >= 1")
-    with lattice(chain, lumping, n, n) as lat:
-        upper = lat.upper_entropy(n)
-        return EntropyBounds(horizon=n, upper=upper, lower=min(lat.lower_entropy(n), upper))
+    lat = _lattice_for(chain, lumping, n, n, lattice)
+    upper = lat.upper_entropy(n)
+    return EntropyBounds(horizon=n, upper=upper, lower=min(lat.lower_entropy(n), upper))
+
+
+def _loss_within(rate: float, bounds: EntropyBounds) -> LossInterval:
+    """``conditional_entropy_rate_estimate`` from the chain rate and the sandwich."""
+    return LossInterval(horizon=bounds.horizon,
+                        loss_lower=max(0.0, rate - bounds.upper),
+                        loss_upper=max(0.0, rate - bounds.lower))
 
 
 def conditional_entropy_rate_estimate(chain: MarkovChain, lumping: "Lumping",
@@ -313,11 +314,7 @@ def conditional_entropy_rate_estimate(chain: MarkovChain, lumping: "Lumping",
     and where no information is lost the lower bound can pass it by an ulp.
     The edges keep their order, as the lower bound never exceeds the upper.
     """
-    rate = chain_entropy_rate(chain)
-    bounds = lumped_rate_bounds(chain, lumping, n)
-    return LossInterval(horizon=n,
-                        loss_lower=max(0.0, rate - bounds.upper),
-                        loss_upper=max(0.0, rate - bounds.lower))
+    return _loss_within(chain_entropy_rate(chain), lumped_rate_bounds(chain, lumping, n))
 
 
 _BLACKWELL_CAVEAT = ("time average assumes the belief process is ergodic; "
@@ -341,11 +338,12 @@ def _block_entropies(laws: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_integer(name: str, value) -> None:
+def _check_integer(name: str, value) -> int:
     """Refuse a ``bool`` or a non-integer ``value`` as a ``ValidationError``;
-    Python and numpy integers pass."""
+    Python and numpy integers pass, returned as a Python ``int``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _uniforms(seed: int, count: int, head: int | None = None) -> np.ndarray:

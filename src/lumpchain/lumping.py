@@ -35,7 +35,7 @@ diagonal included, with one fork product per chunk a level, and a greedy
 walk rebuilds the first violating state sequence: O(k * n * sum |C|^2) time,
 and no verdict enumerates state paths. The single-entry check is one
 ``(n x blocks)`` count product. The weak and strong checks read the tables
-and per-level entropies of one block-word lattice (``entropy.lattice``) and
+and per-level entropies of one ``entropy.BlockWordLattice`` (``lattice=``) and
 ask it one question through one comparison (``_conditionals_apart``): does
 conditioning on more than a coarse context (the word's last k blocks for
 weak, the start block for strong) move the next-block law by more than tol?
@@ -51,7 +51,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .chain import MarkovChain
-from .entropy import _TINY, _plogp, lattice, lumped_rate_bounds
+from .entropy import _TINY, BlockWordLattice, _check_integer, _lattice_for, _plogp
+from .entropy import lumped_rate_bounds
 from .entropy import lumped_forward  # noqa: F401  (stays importable from here)
 from .errors import (
     HorizonTooLarge,
@@ -555,6 +556,7 @@ def check_sfs(chain: MarkovChain, lumping: Lumping, k: int) -> SfsResult:
     |C|^2), none at k = 2; ``(k-1) * sum |C|^2`` table cells above
     ``_SFS_TABLE_BUDGET`` are refused before anything is allocated.
     """
+    k = _check_integer("k", k)
     if k < 2:
         raise KTooSmall("the forward-sequence property needs k >= 2")
     n = chain.n
@@ -652,7 +654,8 @@ def _counterexample(lumping: Lumping, head: tuple[str, ...], word: int, length: 
 
 
 def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
-                          tol: float = DEFAULT_PROB_TOL) -> LumpabilityVerdict:
+                          tol: float = DEFAULT_PROB_TOL, *,
+                          lattice: BlockWordLattice | None = None) -> LumpabilityVerdict:
     """Order-k strong lumpability via start-state independence.
 
     For every start state, block word of length k-1 and next block, all with
@@ -662,19 +665,20 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
     comparison (``_conditionals_apart``). The witness is the first violation
     by (word, start block, start state, next block). The verdict also
     reports the horizon-k rate bounds, which agree to rounding when the
-    check passes.
+    check passes. ``lattice``, if given, must cover horizon k both ways.
     """
+    k = _check_integer("k", k)
     if k < 1:
         raise KTooSmall("strong lumpability order must be >= 1")
     _check_tol(tol)
     nb = lumping.n_blocks
-    with lattice(chain, lumping, k, k) as lat:
-        ids, joint = lat.lower(k)
-        start, word = np.divmod(ids, nb ** (k - 1))
-        block = lumping.of_state[start]
-        cond, block_cond, apart = _conditionals_apart(
-            joint, lat.upper(k), block * nb ** (k - 1) + word, tol)
-        bounds = lumped_rate_bounds(chain, lumping, k)
+    lat = _lattice_for(chain, lumping, k, k, lattice)
+    ids, joint = lat.lower(k)
+    start, word = np.divmod(ids, nb ** (k - 1))
+    block = lumping.of_state[start]
+    cond, block_cond, apart = _conditionals_apart(
+        joint, lat.upper(k), block * nb ** (k - 1) + word, tol)
+    bounds = lumped_rate_bounds(chain, lumping, k, lattice=lat)
     bad_row, bad_y = np.nonzero(apart & (cond > 0.0))
     witness = None
     if bad_row.size:
@@ -690,7 +694,8 @@ def check_strong_lumpable(chain: MarkovChain, lumping: Lumping, k: int,
 
 
 def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: int,
-                        tol: float = DEFAULT_PROB_TOL) -> LumpabilityVerdict:
+                        tol: float = DEFAULT_PROB_TOL, *,
+                        lattice: BlockWordLattice | None = None) -> LumpabilityVerdict:
     """Order-k Markov property of the stationary block process, checked for
     all conditioning lengths up to ``horizon``.
 
@@ -699,25 +704,26 @@ def check_weak_lumpable(chain: MarkovChain, lumping: Lumping, k: int, horizon: i
     from the one given the word's last k blocks (``_conditionals_apart``).
     The returned conditional entropies H(next block | previous m blocks) for
     m = 1..horizon flatten from m = k onward exactly when the process is
-    order-k Markov up to the horizon.
+    order-k Markov up to the horizon. ``lattice``, if given, must cover it.
     """
+    k, horizon = _check_integer("k", k), _check_integer("horizon", horizon)
     if k < 1:
         raise KTooSmall("weak lumpability order must be >= 1")
     if horizon < k:
         raise ValidationError("horizon must be >= k")
     _check_tol(tol)
     nb = lumping.n_blocks
+    lat = _lattice_for(chain, lumping, horizon, 0, lattice)
+    entropies = tuple(lat.upper_entropy(length) for length in range(1, horizon + 1))
     witness = None
-    with lattice(chain, lumping, horizon, 0) as lat:
-        entropies = tuple(lat.upper_entropy(length) for length in range(1, horizon + 1))
-        for length in range(k + 1, horizon + 1):
-            ids, joint = lat.upper(length)
-            cond, short, apart = _conditionals_apart(joint, lat.upper(k), ids % nb ** k, tol)
-            if apart.any():
-                r, y = divmod(int(np.argmax(apart)), nb)  # first in (word, symbol) order
-                witness = _counterexample(lumping, (), ids[r], length, y,
-                                          cond[r, y], short[r, y])
-                break
+    for length in range(k + 1, horizon + 1):
+        ids, joint = lat.upper(length)
+        cond, short, apart = _conditionals_apart(joint, lat.upper(k), ids % nb ** k, tol)
+        if apart.any():
+            r, y = divmod(int(np.argmax(apart)), nb)  # first in (word, symbol) order
+            witness = _counterexample(lumping, (), ids[r], length, y,
+                                      cond[r, y], short[r, y])
+            break
     return LumpabilityVerdict(
         order_k=k,
         weak_up_to_horizon=WeakHorizonVerdict(verdict=witness is None, horizon=horizon),

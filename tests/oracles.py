@@ -910,9 +910,8 @@ def _cmd_v1(args):
                                 "prob_a": res.witness.prob_a,
                                 "prob_b": res.witness.prob_b}})
     elif args.command == "bounds":
-        with ent.lattice(chain, lumping, args.n, args.n):
-            b = ent.lumped_rate_bounds(chain, lumping, args.n)
-            loss = ent.conditional_entropy_rate_estimate(chain, lumping, args.n)
+        b = ent.lumped_rate_bounds(chain, lumping, args.n)
+        loss = ent.conditional_entropy_rate_estimate(chain, lumping, args.n)
         human = (f"lumped rate bounds n={args.n}: [{b.lower:.6f}, {b.upper:.6f}] "
                  f"bits/step; loss in [{loss.loss_lower:.6f}, {loss.loss_upper:.6f}]\n")
         _emit(args, human, {"horizon": b.horizon, "lower": b.lower, "upper": b.upper,

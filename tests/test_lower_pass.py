@@ -22,12 +22,14 @@ from lumpchain import (
     check_strong_lumpable,
     check_weak_lumpable,
     entropy_loss_bound,
+    lumped_block_entropy,
     lumped_rate_bounds,
     parse_model,
     run_analysis,
     split_merge_index,
 )
 from lumpchain import entropy as entropy_module
+from lumpchain.cli import main
 from lumpchain import lumping as lumping_module
 from lumpchain.entropy import MASS_EPS, BlockWordLattice, lumped_forward
 from lumpchain.errors import HorizonTooLarge, ValidationError
@@ -190,6 +192,30 @@ def test_analysis_makes_one_upper_and_one_lower_pass(monkeypatch, name):
     # one entropy per level built: upper levels 0..depth, lower levels 1..depth
     depth = max(*config.horizons, *config.k_range, config.weak_horizon)
     assert len(scores) == 2 * depth + 1
+
+
+# a call outside ``analyze`` at horizon 4 -> its lumped_forward, _lower_levels
+# and _conditional_entropy calls: the rate bounds score upper levels 0..4 and
+# lower levels 1..4, the block entropy scores none
+CALLS_OUTSIDE_ANALYSIS = {
+    "bounds-command": (lambda path, *_: main(["bounds", str(path), "--n", "4"]), (1, 1, 9)),
+    "strong-check": (lambda _, chain, lumping: check_strong_lumpable(chain, lumping, 4),
+                     (1, 1, 9)),
+    "block-entropy": (lambda _, chain, lumping: lumped_block_entropy(chain, lumping, 4),
+                      (1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.json")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("call", sorted(CALLS_OUTSIDE_ANALYSIS))
+def test_calls_outside_analysis_make_one_pass_each(monkeypatch, capsys, call, path):
+    run, want = CALLS_OUTSIDE_ANALYSIS[call]
+    chain, lumping = parse_model(str(path))
+    forward = count_calls(monkeypatch, "lumped_forward")
+    lower = count_calls(monkeypatch, "_lower_levels")
+    scores = count_calls(monkeypatch, "_conditional_entropy")
+    run(path, chain, lumping)
+    assert (len(forward), len(lower), len(scores)) == want
 
 
 @pytest.mark.parametrize("seed", DEEP_WITNESS_SEEDS)

@@ -10,6 +10,9 @@ interpreter of its own, which computes:
 
 - ``analyze MODEL --format json`` on every model file under ``models/``:
   exit code, stdout and stderr;
+- on every model file, for h = 1..6: ``bounds MODEL --n h --format json``
+  (exit code, stdout and stderr), ``repr(lumped_block_entropy(..., h))``
+  and ``repr(conditional_entropy_rate_estimate(..., h))``;
 - for every ``lattice`` and ``pairs`` item of ``bench/workloads.py`` at each
   seed: ``format_report(run_analysis(...), "json")`` with the benchmark's
   configuration;
@@ -57,6 +60,7 @@ LARGE_CHAINS = ((1000, 4, 3), (2000, 4, 3), (300, 2, 40), (600, 3, 20))  # n, bl
 SFS_ORDERS = (2, 3, 4)
 LUMPABILITY_ORDERS = (1, 2, 3)
 MODEL_WEAK_HORIZON = 6  # analyze's default
+MODEL_HORIZONS = range(1, 7)  # bounds, block entropy and loss interval per model file
 
 
 def _workloads():
@@ -101,6 +105,16 @@ def _lumpability(key: str, chain, lumping, weak_horizon: int) -> dict[str, str]:
     return reports
 
 
+def _cli(argv: list[str]) -> str:
+    """Exit code, stdout and stderr of one ``lumpchain`` command, as one text."""
+    import lumpchain as lc
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = lc.cli.main(argv)
+    return f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+
+
 def collect(seeds: list[int]) -> dict[str, str]:
     """Every report of the ``lumpchain`` this interpreter imports, by key."""
     import numpy as np
@@ -109,11 +123,15 @@ def collect(seeds: list[int]) -> dict[str, str]:
 
     reports = {}
     for path in sorted((ROOT / "models").glob("*.json")):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = lc.cli.main(["analyze", str(path), "--format", "json"])
-        reports[f"corpus/{path.stem}"] = f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+        reports[f"corpus/{path.stem}"] = _cli(["analyze", str(path), "--format", "json"])
         chain, lumping = lc.parse_model(str(path))
+        for h in MODEL_HORIZONS:
+            key = f"corpus/{path.stem}/n{h}"
+            reports[f"{key}/bounds"] = _cli(["bounds", str(path), "--n", str(h),
+                                             "--format", "json"])
+            reports[f"{key}/block_entropy"] = _repr(lc.lumped_block_entropy, chain, lumping, h)
+            reports[f"{key}/loss_interval"] = _repr(lc.conditional_entropy_rate_estimate,
+                                                    chain, lumping, h)
         reports.update(_structure(f"corpus/{path.stem}", chain, lumping))
         reports.update(_lumpability(f"corpus/{path.stem}", chain, lumping, MODEL_WEAK_HORIZON))
     workloads = _workloads()
